@@ -170,7 +170,7 @@ const PIPELINED_SPEEDUP_MARGIN: f64 = 4.0;
 /// trip means logging itself got more expensive, not runner jitter.
 const WAL_OVERHEAD_MARGIN: f64 = 15.0;
 
-/// Maximum observability overhead (tracing + histograms, percent of
+/// Maximum observability overhead (per-request tracing, percent of
 /// wall-clock on the mixed workload) `--check` accepts. The budget in
 /// DESIGN.md is 3%; the measured cost sits around 1%. The comparison
 /// takes the minimum over 24 order-alternated pass pairs per mode, on
@@ -337,7 +337,7 @@ fn main() {
     // milliseconds) that scheduler jitter cannot masquerade as
     // instrumentation cost.
     let obs_row = run_obs_overhead(factor, 50);
-    println!("\n## obs_overhead (mixed workload, tracing+histograms vs --no-trace)");
+    println!("\n## obs_overhead (mixed workload, tracing vs --no-trace)");
     println!(
         "{:<22} {:>10.1} req/s instrumented  {:>10.1} req/s no-trace  overhead={:.2}%",
         obs_row.workload, obs_row.instrumented_rps, obs_row.no_trace_rps, obs_row.overhead_pct
@@ -953,7 +953,8 @@ fn run_ivm_patch(factor: f64, rounds: usize) -> IvmPatchRow {
     }
 }
 
-/// Measures what the tracing/histogram layer costs: ONE server runs
+/// Measures what per-request tracing costs (counters and histograms
+/// record in both modes): ONE server runs
 /// the mixed workload with tracing toggled on and off between passes
 /// (`Server::set_tracing`), so heap layout, caches, and documents are
 /// byte-identical across the comparison — only the instrumentation

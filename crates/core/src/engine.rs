@@ -42,6 +42,12 @@ impl Method {
         Method::TwoPassSax,
     ];
 
+    /// This method's position in [`Method::ALL`] (for per-method
+    /// arrays): the declaration order is the `ALL` order.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The label used in the paper's figures.
     pub fn paper_name(&self) -> &'static str {
         match self {
@@ -183,6 +189,9 @@ mod tests {
         assert_eq!(Method::TopDown.paper_name(), "GENTOP");
         assert_eq!(Method::TwoPass.to_string(), "TD-BU");
         assert_eq!(Method::ALL.len(), 6);
+        for (i, m) in Method::ALL.iter().enumerate() {
+            assert_eq!(m.index(), i, "{m} sits at ALL[{i}]");
+        }
     }
 
     #[test]

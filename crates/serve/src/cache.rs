@@ -170,6 +170,18 @@ impl<V> PreparedCache<V> {
         self.evictions.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
     }
 
+    /// `[entries, capacity, hits, misses, evictions]`, the row this
+    /// cache contributes to the metric registry.
+    pub fn counters(&self) -> [u64; 5] {
+        [
+            self.len() as u64,
+            self.capacity() as u64,
+            self.hits(),
+            self.misses(),
+            self.evictions(),
+        ]
+    }
+
     /// Drops every ready entry (counters and in-flight builds are
     /// preserved).
     pub fn clear(&self) {

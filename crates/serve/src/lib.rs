@@ -94,7 +94,7 @@ pub mod wal;
 pub use cache::PreparedCache;
 pub use error::ServeError;
 pub use executor::ThreadPool;
-pub use obs::{HistogramSnapshot, LatencyHistogram, Obs, Phase, RequestTrace, Trace};
+pub use obs::{Obs, Phase, RequestTrace, Trace};
 pub use pipeline::{serve_pipelined, PipelineOptions};
 pub use planner::{AdaptivePlanner, DocShape, PlanChoice, PlannerConfig};
 pub use registry::{ViewBody, ViewDef, ViewRegistry};
@@ -102,7 +102,10 @@ pub use server::{
     Analysis, CandidateEvidence, DocSource, Explanation, LinkPlan, Request, Response, Server,
     ServerBuilder, StreamingSession, WalRecovery,
 };
-pub use stats::{json_escape, DeltaCell, EwmaCell, ServeStats, StatsSnapshot, Verb};
+pub use stats::{
+    json_escape, DeltaCell, Family, HistogramSnapshot, Kind, LatencyHistogram, Metric, Row,
+    ServeStats, StatsSnapshot, Verb, REGISTRY,
+};
 pub use store::{DocStore, StoreSnapshot, StoreUpdateError, VersionedDoc, WriteStamp};
 pub use viewcache::{MaintainOutcome, ViewResultCache};
 pub use wal::{Wal, WalRecord, WalReplay};
@@ -379,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn view_latency_ewma_is_reported() {
+    fn view_latency_histogram_is_reported() {
         let s = server();
         s.register_view("public", DEL_PRICE).unwrap();
         for _ in 0..3 {
@@ -389,15 +392,13 @@ mod tests {
             })
             .unwrap();
         }
-        let (n, micros) = s
+        let count = s
             .stats()
-            .view_latency
+            .latency
             .iter()
-            .find(|(v, _, _)| v == "public")
-            .map(|&(_, n, e)| (n, e))
-            .unwrap();
-        assert_eq!(n, 3);
-        assert!(micros >= 0.0);
+            .find(|(scope, key, _)| *scope == "view" && key == "public")
+            .map(|(_, _, h)| h.count);
+        assert_eq!(count, Some(3));
     }
 
     #[test]

@@ -67,13 +67,6 @@ fn class_of(nodes: usize) -> usize {
     }
 }
 
-fn method_index(m: Method) -> usize {
-    Method::ALL
-        .iter()
-        .position(|&x| x == m)
-        .expect("Method::ALL is exhaustive")
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Cell {
     /// EWMA of nanoseconds per node.
@@ -174,7 +167,7 @@ impl AdaptivePlanner {
             // so feedback covers the whole candidate set.
             if let Some(&m) = candidates
                 .iter()
-                .min_by_key(|&&m| fb.cells[class][method_index(m)].samples)
+                .min_by_key(|&&m| fb.cells[class][m.index()].samples)
             {
                 return m;
             }
@@ -188,10 +181,10 @@ impl AdaptivePlanner {
     fn exploit(fb: &Feedback, class: usize, candidates: &[Method]) -> Method {
         let best_sampled = candidates
             .iter()
-            .filter(|&&m| fb.cells[class][method_index(m)].samples > 0)
+            .filter(|&&m| fb.cells[class][m.index()].samples > 0)
             .min_by(|&&a, &&b| {
-                let ca = fb.cells[class][method_index(a)].ns_per_node;
-                let cb = fb.cells[class][method_index(b)].ns_per_node;
+                let ca = fb.cells[class][a.index()].ns_per_node;
+                let cb = fb.cells[class][b.index()].ns_per_node;
                 ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
             });
         *best_sampled.unwrap_or(&candidates[0])
@@ -209,7 +202,7 @@ impl AdaptivePlanner {
                 // byte→node scaled class `record` feeds.
                 let class = class_of((bytes / 64).max(1) as usize);
                 let fb = self.feedback.lock().expect("planner lock poisoned");
-                let cell = fb.cells[class][method_index(Method::TwoPassSax)];
+                let cell = fb.cells[class][Method::TwoPassSax.index()];
                 return PlanChoice {
                     method: Method::TwoPassSax,
                     tiny: false,
@@ -246,7 +239,7 @@ impl AdaptivePlanner {
             candidates: candidates
                 .into_iter()
                 .map(|m| {
-                    let cell = fb.cells[class][method_index(m)];
+                    let cell = fb.cells[class][m.index()];
                     (
                         m,
                         (cell.samples > 0).then_some((cell.ns_per_node, cell.samples)),
@@ -266,7 +259,7 @@ impl AdaptivePlanner {
         };
         let sample = elapsed.as_nanos() as f64 / nodes as f64;
         let mut fb = self.feedback.lock().expect("planner lock poisoned");
-        let cell = &mut fb.cells[class_of(nodes)][method_index(method)];
+        let cell = &mut fb.cells[class_of(nodes)][method.index()];
         if cell.samples == 0 {
             cell.ns_per_node = sample;
         } else {

@@ -44,10 +44,10 @@ use xust_xpath::{eval_path_root, Path};
 use crate::cache::PreparedCache;
 use crate::error::ServeError;
 use crate::executor::ThreadPool;
-use crate::obs::{HistogramSnapshot, Obs, Phase, Trace};
+use crate::obs::{Obs, Phase, Trace};
 use crate::planner::{AdaptivePlanner, DocShape, PlanChoice, PlannerConfig};
 use crate::registry::{ViewBody, ViewDef, ViewRegistry};
-use crate::stats::{ServeStats, StatsSnapshot, Verb};
+use crate::stats::{HistogramSnapshot, ServeStats, StatsSnapshot, Verb};
 use crate::store::{DocStore, StoreSnapshot, StoreUpdateError, WriteStamp};
 use crate::viewcache::{DeltaReplay, PatchCtx, PatchView, ViewResultCache};
 use crate::wal::{Wal, WalRecord};
@@ -723,36 +723,24 @@ impl Server {
             Request::Update { doc, update } => self.handle_update(doc, update, &mut rt),
         };
         let micros = started.elapsed().as_micros() as u64;
-        self.inner
-            .stats
-            .busy_micros
-            .fetch_add(micros, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-        self.inner.stats.record_verb(verb, result.is_ok());
         let view_name = match request {
             Request::View { view, .. } | Request::Query { view, .. } => Some(view.as_str()),
             _ => None,
         };
+        self.inner
+            .stats
+            .record_request(verb, view_name, result.is_ok(), micros);
         match result {
             Ok(mut resp) => {
-                if let Some(view) = view_name {
-                    // Per-view latency feedback, merged lock-free (CAS)
-                    // when several executor workers report for the same
-                    // view at once.
-                    self.inner.stats.record_view_latency(view, micros as f64);
-                }
                 if let Some(m) = resp.method {
                     rt.set_method(m);
                 }
-                self.inner.obs.finish(rt, micros, true, view_name);
+                self.inner.obs.finish(rt, micros, true);
                 resp.micros = micros;
                 Ok(resp)
             }
             Err(e) => {
-                self.inner
-                    .stats
-                    .failures
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed); // relaxed: monotone counter; no data published
-                self.inner.obs.finish(rt, micros, false, view_name);
+                self.inner.obs.finish(rt, micros, false);
                 Err(e)
             }
         }
@@ -915,11 +903,9 @@ impl Server {
     /// so `METRICS` and `TRACE` reflect panicked items like any other
     /// failure. Returns the error the caller stores in the item's slot.
     fn account_worker_panic(&self, verb: Verb, view: Option<&str>, target: &str) -> ServeError {
-        use std::sync::atomic::Ordering::Relaxed; // lint: atomic-ok (stats counters only)
-        self.inner.stats.record_verb(verb, false);
-        self.inner.stats.failures.fetch_add(1, Relaxed); // relaxed: monotone counter; no data published
+        self.inner.stats.record_request(verb, view, false, 0);
         let rt = self.inner.obs.begin(verb, || target.to_string());
-        self.inner.obs.finish(rt, 0, false, view);
+        self.inner.obs.finish(rt, 0, false);
         ServeError::Eval("worker panicked".into())
     }
 
@@ -1074,13 +1060,17 @@ impl Server {
                 // shard write lock.
                 // lock-order: shard write lock → Wal mutex.
                 if let Some(w) = &wal {
+                    let t = rt.start();
                     w.append(&WalRecord::Update {
                         doc: doc.to_string(),
                         text: update.to_string(),
                     })
                     .map_err(|e| ServeError::Io(format!("wal append: {e}")))?;
+                    rt.phase(Phase::Wal, t);
                 }
+                let t = rt.start();
                 let mut next = (**old).clone();
+                rt.phase(Phase::Clone, t);
                 let mut delta = LabelSet::new();
                 let mut targets_total = 0usize;
                 // Old→new label mappings of the applied renames, in
@@ -1444,10 +1434,8 @@ impl Server {
             rt.note_result(found.is_some());
             if let Some(body) = found {
                 let micros = started.elapsed().as_micros() as u64;
-                stats.busy_micros.fetch_add(micros, Relaxed); // relaxed: monotone counter; no data published
-                stats.record_verb(Verb::View, true);
-                stats.record_view_latency(&view, micros as f64);
-                self.inner.obs.finish(rt, micros, true, Some(&view));
+                stats.record_request(Verb::View, Some(&view), true, micros);
+                self.inner.obs.finish(rt, micros, true);
                 out.push((
                     idx,
                     Ok(Response {
@@ -1517,10 +1505,8 @@ impl Server {
             }
             rt.phase(Phase::Serialize, t);
             let micros = started.elapsed().as_micros() as u64;
-            stats.busy_micros.fetch_add(micros, Relaxed); // relaxed: monotone counter; no data published
-            stats.record_verb(Verb::View, true);
-            stats.record_view_latency(&view, micros as f64);
-            self.inner.obs.finish(rt, micros, true, Some(&view));
+            stats.record_request(Verb::View, Some(&view), true, micros);
+            self.inner.obs.finish(rt, micros, true);
             out.push((
                 idx,
                 Ok(Response {
@@ -1536,13 +1522,31 @@ impl Server {
 
     // ---- introspection ----
 
-    /// Current counter snapshot (result-cache hit/miss counts overlaid
-    /// from the cache's own counters — the single source of truth).
+    /// Current registry snapshot: the server's own counters and
+    /// histograms, plus the values sourced from its other components
+    /// (result-cache counters are the cache's own — the single source
+    /// of truth).
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.inner.stats.snapshot();
-        snap.result_hits = self.inner.results.hits();
-        snap.result_misses = self.inner.results.misses();
-        snap
+        let inner = &*self.inner;
+        let mut s = inner.stats.snapshot();
+        s.result_hits = inner.results.hits();
+        s.result_misses = inner.results.misses();
+        s.result_cache_entries = inner.results.len() as u64;
+        s.result_cache_docs = inner.results.doc_count() as u64;
+        s.interned_labels = xust_intern::Interner::global().len() as u64;
+        s.executor_in_flight = inner.pool.in_flight();
+        s.executor_threads = inner.pool.threads() as u64;
+        s.store_active_snapshots = inner.docs.active_snapshots() as u64;
+        s.store_snapshots = inner.docs.snapshots_taken();
+        s.store_shards = inner.docs.shard_count() as u64;
+        s.store_docs = inner.docs.len() as u64;
+        s.views_registered = inner.registry.names().len() as u64;
+        s.requests_traced = inner.obs.requests_traced();
+        s.prepared_caches = vec![
+            ("transforms", inner.transforms.counters()),
+            ("composed", inner.composed.counters()),
+        ];
+        s
     }
 
     /// The materialized view-result cache (hit/miss counters, entry
@@ -1573,129 +1577,13 @@ impl Server {
         self.inner.obs.set_enabled(on);
     }
 
-    /// Renders the `METRICS` reply: a Prometheus-style text exposition
-    /// of every counter, gauge, and latency histogram. Every line is
-    /// `name{labels} value` (labels optional); `# TYPE` comment lines
-    /// announce the summary family. The `METRICS` request itself is
-    /// counted first, so it appears in its own output.
+    /// Renders the `METRICS` reply: the registry's Prometheus-style
+    /// text exposition ([`StatsSnapshot::render_metrics`]). The
+    /// `METRICS` request itself is counted first, so it appears in its
+    /// own output.
     pub fn metrics(&self) -> String {
-        use std::fmt::Write;
         self.inner.stats.record_verb(Verb::Metrics, true);
-        let snap = self.stats();
-        let mut out = String::with_capacity(4096);
-        let mut line = |name: &str, value: u64| {
-            let _ = writeln!(out, "xust_{name} {value}");
-        };
-        line("requests_total", snap.requests);
-        line("failures_total", snap.failures);
-        line("prepared_cache_hits_total", snap.cache_hits);
-        line("prepared_cache_misses_total", snap.cache_misses);
-        line("compiles_total", snap.compiles);
-        line("compositions_total", snap.compositions);
-        line("view_requests_total", snap.view_requests);
-        line("query_requests_total", snap.query_requests);
-        line("transform_requests_total", snap.transform_requests);
-        line("batches_total", snap.batches);
-        line("batch_items_total", snap.batch_items);
-        line("batch_steals_total", snap.batch_steals);
-        line("stream_sessions_total", snap.stream_sessions);
-        line("update_requests_total", snap.update_requests);
-        line("delta_retained_total", snap.delta_retained);
-        line("static_retained_total", snap.static_retained);
-        line("patched_total", snap.delta_patched);
-        line("patched_fragments_total", snap.patched_fragments);
-        line("delta_recomputed_total", snap.delta_recomputed);
-        line("wal_recovered_total", snap.wal_recovered);
-        line("wal_truncations_total", snap.wal_truncations);
-        line("shared_passes_total", snap.shared_passes);
-        line("shared_pass_views_total", snap.shared_pass_views);
-        line("result_cache_hits_total", snap.result_hits);
-        line("result_cache_misses_total", snap.result_misses);
-        line("busy_micros_total", snap.busy_micros);
-        line("interned_labels", snap.interned_labels as u64);
-        // Every verb gets a series (zeros included) so scrapers see a
-        // stable schema from the first scrape.
-        for verb in Verb::ALL {
-            let (requests, errors) = self.inner.stats.verb_counts(verb);
-            let _ = writeln!(
-                out,
-                "xust_verb_requests_total{{verb=\"{verb}\"}} {requests}"
-            );
-            let _ = writeln!(out, "xust_verb_errors_total{{verb=\"{verb}\"}} {errors}");
-        }
-        for (m, n) in &snap.per_method {
-            let _ = writeln!(out, "xust_method_executions_total{{method=\"{m}\"}} {n}");
-        }
-        // Gauges: executor, store, caches, registry.
-        let _ = writeln!(
-            out,
-            "xust_executor_in_flight {}",
-            self.inner.pool.in_flight()
-        );
-        let _ = writeln!(out, "xust_executor_threads {}", self.inner.pool.threads());
-        let _ = writeln!(
-            out,
-            "xust_store_active_snapshots {}",
-            self.inner.docs.active_snapshots()
-        );
-        let _ = writeln!(
-            out,
-            "xust_store_snapshots_total {}",
-            self.inner.docs.snapshots_taken()
-        );
-        let _ = writeln!(out, "xust_store_shards {}", self.inner.docs.shard_count());
-        let _ = writeln!(out, "xust_store_docs {}", self.inner.docs.len());
-        let _ = writeln!(
-            out,
-            "xust_result_cache_entries {}",
-            self.inner.results.len()
-        );
-        let _ = writeln!(
-            out,
-            "xust_result_cache_docs {}",
-            self.inner.results.doc_count()
-        );
-        {
-            let mut cache_lines =
-                |name: &str, len: usize, capacity: usize, hits: u64, misses: u64, evict: u64| {
-                    let label = format!("{{cache=\"{name}\"}}");
-                    let _ = writeln!(out, "xust_prepared_cache_entries{label} {len}");
-                    let _ = writeln!(out, "xust_prepared_cache_capacity{label} {capacity}");
-                    let _ = writeln!(out, "xust_prepared_cache_hits{label} {hits}");
-                    let _ = writeln!(out, "xust_prepared_cache_misses{label} {misses}");
-                    let _ = writeln!(out, "xust_prepared_cache_evictions{label} {evict}");
-                };
-            let t = &self.inner.transforms;
-            cache_lines(
-                "transforms",
-                t.len(),
-                t.capacity(),
-                t.hits(),
-                t.misses(),
-                t.evictions(),
-            );
-            let c = &self.inner.composed;
-            cache_lines(
-                "composed",
-                c.len(),
-                c.capacity(),
-                c.hits(),
-                c.misses(),
-                c.evictions(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "xust_views_registered {}",
-            self.inner.registry.names().len()
-        );
-        let _ = writeln!(
-            out,
-            "xust_requests_traced_total {}",
-            self.inner.obs.requests_traced()
-        );
-        self.inner.obs.render_histograms(&mut out);
-        out
+        self.stats().render_metrics()
     }
 
     /// Renders the `TRACE [n]` reply: the last `n` completed request
@@ -1891,7 +1779,7 @@ impl Server {
     }
 
     fn evidence_for(&self, method: Method, ewma: Option<(f64, u64)>) -> CandidateEvidence {
-        let snap = self.inner.obs.method_histogram(method).snapshot();
+        let snap = self.inner.stats.method_histogram(method).snapshot();
         CandidateEvidence {
             method,
             ewma,
@@ -1941,10 +1829,9 @@ impl Server {
                     .map_err(|e| ServeError::Eval(e.to_string()))?;
                 let elapsed = t.elapsed();
                 self.inner.planner.record(method, shape, elapsed);
-                stats.count_method(method);
                 let eval_micros = elapsed.as_micros() as u64;
+                stats.record_method(method, eval_micros);
                 rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner.obs.record_method(method, eval_micros);
                 let t = rt.start();
                 let body = out.serialize();
                 rt.phase(Phase::Serialize, t);
@@ -1969,12 +1856,9 @@ impl Server {
                 self.inner
                     .planner
                     .record(Method::TwoPassSax, shape, elapsed);
-                stats.count_method(Method::TwoPassSax);
                 let eval_micros = elapsed.as_micros() as u64;
+                stats.record_method(Method::TwoPassSax, eval_micros);
                 rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner
-                    .obs
-                    .record_method(Method::TwoPassSax, eval_micros);
                 Ok(Response {
                     body,
                     method: Some(Method::TwoPassSax),
@@ -2073,12 +1957,11 @@ impl Server {
             self.inner
                 .planner
                 .record(Method::TwoPassSax, DocShape::File { bytes }, elapsed);
-            self.inner.stats.count_method(Method::TwoPassSax);
             let eval_micros = elapsed.as_micros() as u64;
-            rt.phase_micros(Phase::Eval, eval_micros);
             self.inner
-                .obs
+                .stats
                 .record_method(Method::TwoPassSax, eval_micros);
+            rt.phase_micros(Phase::Eval, eval_micros);
             return Ok(Response {
                 body,
                 method: Some(Method::TwoPassSax),
@@ -2322,10 +2205,9 @@ impl Server {
                         .map_err(|e| ServeError::Eval(e.to_string()))?;
                     let elapsed = t.elapsed();
                     self.inner.planner.record(method, shape, elapsed);
-                    self.inner.stats.count_method(method);
                     let eval_micros = elapsed.as_micros() as u64;
+                    self.inner.stats.record_method(method, eval_micros);
                     rt.phase_micros(Phase::Eval, eval_micros);
-                    self.inner.obs.record_method(method, eval_micros);
                     last_method = Some(method);
                     current = Some(next);
                 }
@@ -2350,10 +2232,9 @@ impl Server {
                     },
                     elapsed,
                 );
-                self.inner.stats.count_method(Method::TopDown);
                 let eval_micros = elapsed.as_micros() as u64;
+                self.inner.stats.record_method(Method::TopDown, eval_micros);
                 rt.phase_micros(Phase::Eval, eval_micros);
-                self.inner.obs.record_method(Method::TopDown, eval_micros);
                 Ok((out, Some(Method::TopDown)))
             }
         }

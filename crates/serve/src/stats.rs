@@ -1,175 +1,758 @@
-//! Lock-free service counters.
+//! The metric registry: every serve counter, gauge, labeled family and
+//! latency histogram is declared **once**, in [`REGISTRY`], and one
+//! generic writer per format renders all of them:
+//!
+//! - `STATS` ([`StatsSnapshot`]'s `Display`): one line per row,
+//!   `family[ label…]: key=value …`;
+//! - `--stats-json` ([`StatsSnapshot::render_json`]): one object; label-free
+//!   families flatten into top-level `"key":value` pairs, labeled
+//!   families become `"family":[{"label":"…",…,"key":value,…}]`;
+//! - `METRICS` ([`StatsSnapshot::render_metrics`]): per metric a
+//!   `# HELP`/`# TYPE` announcement, then one `series{label="…"} value`
+//!   line per row, label values escaped.
+//!
+//! No writer knows any metric by name, so a metric cannot appear in one
+//! rendering and not another, or with different values.
 //!
 //! Every counter is a relaxed atomic: the numbers are observability
 //! data, not synchronization. The concurrency tests use them to prove
 //! that cache hits really skip parse + NFA construction (the `compiles`
 //! counter stays at the number of *distinct* queries while `cache_hits`
 //! grows with request volume).
+//!
+//! ## Latency histograms
+//!
+//! [`LatencyHistogram`] has 64 buckets; bucket `i` covers
+//! `[2^(i/2), 2^((i+1)/2))` microseconds, so consecutive bucket bounds
+//! differ by a factor of √2 (≈ ±41% relative error per bucket). Bucket
+//! 0 also absorbs sub-microsecond samples and the last bucket absorbs
+//! everything from ~50 minutes up, which comfortably brackets the
+//! 1µs–60s range a request can plausibly take. Quantiles walk the
+//! cumulative counts and report the bucket's upper bound, clamped to
+//! the exact observed maximum. Recording is one relaxed `fetch_add` per
+//! field with no locks and no allocation (a view's histogram is created
+//! once per view name), so histograms record unconditionally, like the
+//! counters; `--no-trace` switches off only per-request traces.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use xust_core::{Method, Sym};
 
-/// A latency EWMA whose whole state — sample count and smoothed value —
-/// lives in **one** atomic word, merged with a single CAS loop.
-///
-/// Multiple executor workers finishing requests for the same view report
-/// concurrently. A read-modify-write over two separate fields (count +
-/// value) loses updates under that race: two workers read the same old
-/// state, both fold their sample in, and one fold vanishes — the sample
-/// count drifts below the number of reports and the EWMA over- or
-/// under-weights history. Packing `(count: u32, value: f32)` into one
-/// `u64` and installing updates with `compare_exchange_weak` makes the
-/// merge atomic: every report is folded exactly once, in *some* total
-/// order (EWMA folds don't commute, but any interleaving is a valid
-/// sample order — what matters is that none is lost).
-#[derive(Debug, Default)]
-pub struct EwmaCell {
-    /// `(count as u64) << 32 | f32::to_bits(value)`.
-    state: AtomicU64,
-}
+/// Declares a fieldless enum with its fixed [`ALL`](Verb::ALL) order,
+/// lower-case wire names, and a constant-time `index()` into per-variant
+/// arrays (the declaration order *is* the index order).
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[doc = $doc:literal])* $variant:ident => $wire:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $( $(#[doc = $doc])* $variant, )+
+        }
 
-impl EwmaCell {
-    const fn pack(count: u32, value: f32) -> u64 {
-        ((count as u64) << 32) | value.to_bits() as u64
-    }
+        impl $name {
+            /// Every variant, in declaration (index) order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
 
-    const fn unpack(state: u64) -> (u32, f32) {
-        ((state >> 32) as u32, f32::from_bits(state as u32))
-    }
+            /// Lower-case name, as rendered on the wire.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $wire, )+
+                }
+            }
 
-    /// Folds one sample in atomically. `weight` is the new-sample weight
-    /// in (0, 1]; the first sample installs itself directly. Returns the
-    /// post-fold `(count, value)`.
-    pub fn record(&self, sample: f32, weight: f32) -> (u32, f32) {
-        let mut cur = ld(&self.state);
-        loop {
-            let (count, value) = Self::unpack(cur);
-            let next_value = if count == 0 {
-                sample
-            } else {
-                weight * sample + (1.0 - weight) * value
-            };
-            let next = Self::pack(count.saturating_add(1), next_value);
-            match self
-                .state
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) // relaxed: failure ordering; the retry reloads
-            {
-                Ok(_) => return Self::unpack(next),
-                Err(seen) => cur = seen,
+            /// This variant's position in `ALL`.
+            pub const fn index(self) -> usize {
+                self as usize
             }
         }
-    }
 
-    /// `(count, value)` as of now; `None` before the first sample.
-    pub fn get(&self) -> Option<(u32, f32)> {
-        let (count, value) = Self::unpack(self.state.load(Ordering::Acquire));
-        (count > 0).then_some((count, value))
+        impl std::fmt::Display for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+    };
+}
+pub(crate) use named_enum;
+
+named_enum! {
+    /// The protocol verb a request arrived under. One counter pair per
+    /// verb means a failed `UPDATE` and a failed `QUERY` are
+    /// distinguishable in `STATS`/`METRICS`.
+    pub enum Verb {
+        /// `VIEW` — materialize a view.
+        View => "view",
+        /// `QUERY` — answer a user query over a virtual view.
+        Query => "query",
+        /// `TRANSFORM` — run an ad-hoc transform.
+        Transform => "transform",
+        /// `UPDATE` — live write through the update path.
+        Update => "update",
+        /// `STREAM` — open a streaming transform session.
+        Stream => "stream",
+        /// `LOAD` — load or reload a document.
+        Load => "load",
+        /// `REMOVE` — remove a document.
+        Remove => "remove",
+        /// `METRICS` — metrics exposition.
+        Metrics => "metrics",
+        /// `TRACE` — recent/slowest request traces.
+        Trace => "trace",
+        /// `EXPLAIN` — plan report without execution.
+        Explain => "explain",
+        /// `ANALYZE` — registration-time static-analysis report.
+        Analyze => "analyze",
+        /// Connection setup — not a wire verb; its error counter records
+        /// clients dropped before the protocol loop started (e.g. a failed
+        /// `try_clone` after accept), so `METRICS` sees every lost client.
+        Conn => "conn",
     }
 }
 
 const N_METHODS: usize = Method::ALL.len();
+const N_VERBS: usize = Verb::ALL.len();
 
-fn method_index(m: Method) -> usize {
-    Method::ALL
-        .iter()
-        .position(|&x| x == m)
-        .expect("Method::ALL is exhaustive")
+/// Number of histogram buckets (fixed; see the module docs).
+pub const HIST_BUCKETS: usize = 64;
+
+/// A lock-free log-bucketed latency histogram (microsecond samples).
+///
+/// Recording is four relaxed atomic ops (bucket, count, sum, max);
+/// concurrent recorders never lose a sample — the conservation law
+/// `count == Σ buckets` and `sum == Σ samples` holds under any
+/// interleaving and is asserted by the concurrency tests.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
-/// The protocol verb a request arrived under. One counter pair per
-/// verb means a failed `UPDATE` and a failed `QUERY` are
-/// distinguishable in `STATS`/`METRICS` (before this, both were just
-/// `failures`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Verb {
-    /// `VIEW` — materialize a view.
-    View,
-    /// `QUERY` — answer a user query over a virtual view.
-    Query,
-    /// `TRANSFORM` — run an ad-hoc transform.
-    Transform,
-    /// `UPDATE` — live write through the update path.
-    Update,
-    /// `STREAM` — open a streaming transform session.
-    Stream,
-    /// `LOAD` — load or reload a document.
-    Load,
-    /// `REMOVE` — remove a document.
-    Remove,
-    /// `METRICS` — metrics exposition.
-    Metrics,
-    /// `TRACE` — recent/slowest request traces.
-    Trace,
-    /// `EXPLAIN` — plan report without execution.
-    Explain,
-    /// `ANALYZE` — registration-time static-analysis report.
-    Analyze,
-    /// Connection setup — not a wire verb; its error counter records
-    /// clients dropped before the protocol loop started (e.g. a failed
-    /// `try_clone` after accept), so `METRICS` sees every lost client.
-    Conn,
+impl Default for LatencyHistogram {
+    fn default() -> LatencyHistogram {
+        LatencyHistogram::new()
+    }
 }
 
-impl Verb {
-    /// Every verb, in fixed (index) order.
-    pub const ALL: [Verb; 12] = [
-        Verb::View,
-        Verb::Query,
-        Verb::Transform,
-        Verb::Update,
-        Verb::Stream,
-        Verb::Load,
-        Verb::Remove,
-        Verb::Metrics,
-        Verb::Trace,
-        Verb::Explain,
-        Verb::Analyze,
-        Verb::Conn,
-    ];
+/// A point-in-time digest of one [`LatencyHistogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Samples recorded.
+    pub count: u64,
+    /// Sum of all samples (µs).
+    pub sum: u64,
+    /// Largest sample (µs).
+    pub max: u64,
+    /// Median estimate (µs).
+    pub p50: u64,
+    /// 90th percentile estimate (µs).
+    pub p90: u64,
+    /// 99th percentile estimate (µs).
+    pub p99: u64,
+}
 
-    /// Lower-case verb name, as rendered in `STATS` and `METRICS`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Verb::View => "view",
-            Verb::Query => "query",
-            Verb::Transform => "transform",
-            Verb::Update => "update",
-            Verb::Stream => "stream",
-            Verb::Load => "load",
-            Verb::Remove => "remove",
-            Verb::Metrics => "metrics",
-            Verb::Trace => "trace",
-            Verb::Explain => "explain",
-            Verb::Analyze => "analyze",
-            Verb::Conn => "conn",
+impl LatencyHistogram {
+    /// An empty histogram.
+    pub fn new() -> LatencyHistogram {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// This verb's position in [`Verb::ALL`] (for per-verb arrays).
-    pub fn index(self) -> usize {
-        Verb::ALL
-            .iter()
-            .position(|&v| v == self)
-            .expect("Verb::ALL is exhaustive")
+    /// The bucket index for a sample of `micros`: `⌊2·log₂(v)⌋`,
+    /// computed in integer arithmetic (`v ≥ 2^(k+½)` iff
+    /// `v² ≥ 2^(2k+1)`), clamped into the fixed bucket range.
+    pub fn bucket_index(micros: u64) -> usize {
+        let v = micros.max(1);
+        let log2 = 63 - v.leading_zeros() as usize;
+        let upper_half = (v as u128) * (v as u128) >= (1u128 << (2 * log2 + 1));
+        (2 * log2 + usize::from(upper_half)).min(HIST_BUCKETS - 1)
+    }
+
+    /// The exclusive upper bound of bucket `i` in microseconds:
+    /// `⌈2^((i+1)/2)⌉`.
+    pub fn bucket_upper(i: usize) -> u64 {
+        debug_assert!(i < HIST_BUCKETS);
+        2f64.powf((i as f64 + 1.0) / 2.0).ceil() as u64
+    }
+
+    /// Records one sample. Lock-free; relaxed ordering throughout (the
+    /// histogram is observability data, not synchronization).
+    pub fn record(&self, micros: u64) {
+        self.buckets[Self::bucket_index(micros)].fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        self.count.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        self.sum.fetch_add(micros, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        self.max.fetch_max(micros, Ordering::Relaxed); // relaxed: monotone max; no data published
+    }
+
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        ld(&self.count)
+    }
+
+    /// Sum of all samples (µs).
+    pub fn sum(&self) -> u64 {
+        ld(&self.sum)
+    }
+
+    /// Largest sample (µs); 0 when empty.
+    pub fn max(&self) -> u64 {
+        ld(&self.max)
+    }
+
+    /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
+    /// holding the rank-`⌈q·count⌉` sample, clamped to the observed
+    /// maximum; 0 when empty. Error is bounded by one bucket (√2).
+    pub fn quantile(&self, q: f64) -> u64 {
+        let counts: [u64; HIST_BUCKETS] = std::array::from_fn(|i| ld(&self.buckets[i]));
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::bucket_upper(i).min(self.max().max(1));
+            }
+        }
+        self.max()
+    }
+
+    /// A consistent-enough digest for reporting.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            max: self.max(),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
+        }
     }
 }
 
-impl std::fmt::Display for Verb {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+/// How a metric's value behaves, as announced by `METRICS`' `# TYPE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone total.
+    Counter,
+    /// Point-in-time level.
+    Gauge,
+    /// A latency summary: its quantile series carry a `quantile` label;
+    /// its `_count`/`_sum` parts ride under the quantiles' announcement.
+    Summary,
+}
+
+impl Kind {
+    /// The Prometheus type name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Summary => "summary",
+        }
+    }
+}
+
+/// One value column of a [`Family`].
+#[derive(Debug)]
+pub struct Metric {
+    /// `STATS` / JSON key.
+    pub key: &'static str,
+    /// `METRICS` series name.
+    pub series: &'static str,
+    /// Value behaviour.
+    pub kind: Kind,
+    /// The `quantile` label value of a summary quantile series.
+    pub quantile: Option<&'static str>,
+    /// One-line description (`# HELP`).
+    pub help: &'static str,
+}
+
+impl Metric {
+    const fn new(
+        key: &'static str,
+        series: &'static str,
+        kind: Kind,
+        help: &'static str,
+    ) -> Metric {
+        Metric {
+            key,
+            series,
+            kind,
+            quantile: None,
+            help,
+        }
+    }
+
+    const fn quantile(
+        key: &'static str,
+        series: &'static str,
+        q: &'static str,
+        help: &'static str,
+    ) -> Metric {
+        Metric {
+            quantile: Some(q),
+            ..Metric::new(key, series, Kind::Summary, help)
+        }
+    }
+
+    /// Whether `METRICS` announces this series with `# HELP`/`# TYPE`
+    /// (a summary's `_count`/`_sum` parts are covered by its quantiles').
+    fn announced(&self) -> bool {
+        self.kind != Kind::Summary || self.quantile.is_some()
+    }
+}
+
+const fn counter(key: &'static str, series: &'static str, help: &'static str) -> Metric {
+    Metric::new(key, series, Kind::Counter, help)
+}
+
+const fn gauge(key: &'static str, series: &'static str, help: &'static str) -> Metric {
+    Metric::new(key, series, Kind::Gauge, help)
+}
+
+/// One row of a family: its label values and one value per metric.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row<'a> {
+    /// Label values, parallel to [`Family::labels`].
+    pub labels: Vec<&'a str>,
+    /// Values, parallel to [`Family::metrics`].
+    pub values: Vec<u64>,
+}
+
+/// A group of metrics sharing one label schema — the unit of
+/// declaration in [`REGISTRY`].
+#[derive(Debug)]
+pub struct Family {
+    /// `STATS` line prefix; the JSON key of a labeled family.
+    pub key: &'static str,
+    /// Label names (empty for a family of scalars).
+    pub labels: &'static [&'static str],
+    /// Value columns.
+    pub metrics: &'static [Metric],
+    /// The family's rows in a snapshot (exactly one for a scalar family).
+    pub rows: fn(&StatsSnapshot) -> Vec<Row<'_>>,
+}
+
+/// The latency summary's quantile series (its three quantile columns
+/// share it).
+const LATENCY: &str = "xust_latency_micros";
+
+fn row<'a>(labels: Vec<&'a str>, values: Vec<u64>) -> Row<'a> {
+    Row { labels, values }
+}
+
+/// Declares the registry: the label-free families — whose fields the
+/// macro turns into [`ServeStats`] atomics (`counters`) or into values
+/// [`crate::Server::stats`] fills in from other components (`sourced`),
+/// plus the matching [`StatsSnapshot`] fields and
+/// [`ServeStats::snapshot`] — followed by the labeled families.
+macro_rules! registry {
+    (
+        counters { $( $cgroup:ident {
+            $( $(#[doc = $chelp:literal])+ $cfield:ident => $cseries:literal; )+
+        } )+ }
+        sourced { $( $sgroup:ident {
+            $( $(#[doc = $shelp:literal])+ $sfield:ident: $skind:ident => $sseries:literal; )+
+        } )+ }
+        labeled { $( $family:expr, )+ }
+    ) => {
+        /// Counters and histograms for one [`crate::Server`].
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $( $( $(#[doc = $chelp])+ pub $cfield: AtomicU64, )+ )+
+            per_method: [AtomicU64; N_METHODS],
+            per_verb: [VerbCounters; N_VERBS],
+            verb_latency: [LatencyHistogram; N_VERBS],
+            /// Evaluation time per method (not whole requests).
+            method_latency: [LatencyHistogram; N_METHODS],
+            /// Per-view request latency. Read-mostly: a view's histogram
+            /// is created once, then only its atomics move.
+            view_latency: RwLock<HashMap<String, Arc<LatencyHistogram>>>,
+            /// Per-view delta-maintenance outcomes.
+            view_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
+            /// Per-document delta-maintenance outcomes for writes *to that
+            /// document*. With the result cache keyed by per-document
+            /// versions, a document's counters move only when it is
+            /// written — a hot writer shows up here alone, and its shard
+            /// neighbours' rows staying at zero is the observable proof
+            /// that neighbour invalidation is gone.
+            doc_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
+            /// Per-document element-label histograms (`label → live
+            /// count`), seeded when an in-memory document is (re)loaded and
+            /// shifted incrementally by every applied write.
+            // lock-order: leaf mutex — nothing else is ever taken while held.
+            doc_labels: Mutex<HashMap<String, HashMap<Sym, i64>>>,
+        }
+
+        /// A point-in-time copy of [`ServeStats`] plus the values
+        /// [`crate::Server::stats`] sources from the server's other
+        /// components. Every field is a row of some [`REGISTRY`] family.
+        #[derive(Debug, Clone)]
+        pub struct StatsSnapshot {
+            $( $( $(#[doc = $chelp])+ pub $cfield: u64, )+ )+
+            $( $( $(#[doc = $shelp])+ pub $sfield: u64, )+ )+
+            /// Executions per evaluation method, in [`Method::ALL`] order.
+            pub per_method: [(Method, u64); N_METHODS],
+            /// Per-verb `(verb, requests, errors)`, in [`Verb::ALL`] order.
+            pub verbs: Vec<(Verb, u64, u64)>,
+            /// Per-view delta outcomes: `(view, retained, patched,
+            /// recomputed)`, sorted by view.
+            pub view_delta: Vec<(String, u64, u64, u64)>,
+            /// Per-document delta outcomes for writes to that document:
+            /// `(doc, retained, patched, patched_fragments, recomputed)`,
+            /// sorted. A document appears iff it was written.
+            pub doc_delta: Vec<(String, u64, u64, u64, u64)>,
+            /// Per-document element-label histograms: `(doc, [(label,
+            /// count)])` sorted by document, rows by count descending then
+            /// label. Only seeded (in-memory) documents appear.
+            pub doc_labels: Vec<(String, Vec<(String, i64)>)>,
+            /// Non-empty latency histograms: `(scope, key, digest)` with
+            /// scope `verb`, `view` or `method`.
+            pub latency: Vec<(&'static str, String, HistogramSnapshot)>,
+            /// Prepared caches: `(cache, [entries, capacity, hits, misses,
+            /// evictions])` (sourced).
+            pub prepared_caches: Vec<(&'static str, [u64; 5])>,
+        }
+
+        impl ServeStats {
+            /// Takes a consistent-enough snapshot for reporting. Sourced
+            /// values read 0 here; [`crate::Server::stats`] fills them.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $( $cfield: ld(&self.$cfield), )+ )+
+                    $( $( $sfield: 0, )+ )+
+                    per_method: Method::ALL.map(|m| (m, self.method_count(m))),
+                    verbs: Verb::ALL
+                        .iter()
+                        .map(|&v| {
+                            let (requests, errors) = self.verb_counts(v);
+                            (v, requests, errors)
+                        })
+                        .collect(),
+                    view_delta: sorted_rows(&self.view_delta, |k, c| {
+                        (k, ld(&c.retained), ld(&c.patched), ld(&c.recomputed))
+                    }),
+                    doc_delta: sorted_rows(&self.doc_delta, |k, c| {
+                        let fragments = ld(&c.patched_fragments);
+                        (k, ld(&c.retained), ld(&c.patched), fragments, ld(&c.recomputed))
+                    }),
+                    doc_labels: {
+                        let map = self.doc_labels.lock().expect("stats lock poisoned");
+                        let mut v: Vec<(String, Vec<(String, i64)>)> = map
+                            .iter()
+                            .map(|(doc, hist)| (doc.clone(), sorted_labels(hist)))
+                            .collect();
+                        v.sort_by(|a, b| a.0.cmp(&b.0));
+                        v
+                    },
+                    latency: self.latency_rows(),
+                    prepared_caches: Vec::new(),
+                }
+            }
+        }
+
+        /// Every metric the server exposes, in rendering order.
+        pub const REGISTRY: &[Family] = &[
+            $( Family {
+                key: stringify!($cgroup),
+                labels: &[],
+                metrics: &[ $(
+                    counter(stringify!($cfield), $cseries, concat!($($chelp),+)),
+                )+ ],
+                rows: |s| vec![row(Vec::new(), vec![$(s.$cfield),+])],
+            }, )+
+            $( Family {
+                key: stringify!($sgroup),
+                labels: &[],
+                metrics: &[ $(
+                    Metric::new(stringify!($sfield), $sseries, Kind::$skind, concat!($($shelp),+)),
+                )+ ],
+                rows: |s| vec![row(Vec::new(), vec![$(s.$sfield),+])],
+            }, )+
+            $( $family, )+
+        ];
+    };
+}
+
+registry! {
+    counters {
+        requests {
+            /// Requests accepted (all kinds).
+            requests => "xust_requests_total";
+            /// Requests that returned an error.
+            failures => "xust_failures_total";
+            /// View materializations served.
+            view_requests => "xust_view_requests_total";
+            /// User queries answered against a virtual view.
+            query_requests => "xust_query_requests_total";
+            /// Ad-hoc transform executions.
+            transform_requests => "xust_transform_requests_total";
+            /// Live `UPDATE` writes accepted (applied and installed).
+            update_requests => "xust_update_requests_total";
+            /// Streaming sessions opened.
+            stream_sessions => "xust_stream_sessions_total";
+            /// Total busy time across requests, in microseconds.
+            busy_micros => "xust_busy_micros_total";
+        }
+        cache {
+            /// Prepared-cache hits (transform or composed query reused).
+            cache_hits => "xust_prepared_cache_hits_total";
+            /// Prepared-cache misses (entry had to be built).
+            cache_misses => "xust_prepared_cache_misses_total";
+            /// Transform parse + NFA compilations actually performed.
+            compiles => "xust_compiles_total";
+            /// User-query compositions actually performed.
+            compositions => "xust_compositions_total";
+        }
+        batches {
+            /// Batched entry-point invocations.
+            batches => "xust_batches_total";
+            /// Items executed through batched entry points.
+            batch_items => "xust_batch_items_total";
+            /// Work-stealing events across batch executions.
+            batch_steals => "xust_batch_steals_total";
+        }
+        updates {
+            /// View-result cache entries retained across a write (delta
+            /// applied in place, no recomputation).
+            delta_retained => "xust_delta_retained_total";
+            /// Of the retained entries, how many the static commutation
+            /// table answered alone (no dynamic test ran).
+            static_retained => "xust_static_retained_total";
+            /// Entries that failed the relevance test but were patched in
+            /// place through their provenance maps (the third fate).
+            delta_patched => "xust_patched_total";
+            /// Result fragments spliced across all patch fates.
+            patched_fragments => "xust_patched_fragments_total";
+            /// View-result cache entries invalidated by a write.
+            delta_recomputed => "xust_delta_recomputed_total";
+        }
+        wal {
+            /// Intact write-ahead-log records replayed at attach time.
+            wal_recovered => "xust_wal_recovered_total";
+            /// WAL recoveries that found and dropped a torn tail frame.
+            wal_truncations => "xust_wal_truncations_total";
+        }
+        shared {
+            /// One-pass shared evaluations run (factorised sweeps).
+            shared_passes => "xust_shared_passes_total";
+            /// Views whose results rode a shared pass instead of a
+            /// private evaluation.
+            shared_pass_views => "xust_shared_pass_views_total";
+        }
+    }
+    sourced {
+        results {
+            /// View-result cache hits.
+            result_hits: Counter => "xust_result_cache_hits_total";
+            /// View-result cache misses.
+            result_misses: Counter => "xust_result_cache_misses_total";
+            /// Resident view-result cache entries.
+            result_cache_entries: Gauge => "xust_result_cache_entries";
+            /// Documents with resident view-result cache entries.
+            result_cache_docs: Gauge => "xust_result_cache_docs";
+        }
+        server {
+            /// Distinct labels in the shared interner (it never shrinks;
+            /// see DESIGN.md "Interning").
+            interned_labels: Gauge => "xust_interned_labels";
+            /// Executor jobs running or queued.
+            executor_in_flight: Gauge => "xust_executor_in_flight";
+            /// Executor worker threads.
+            executor_threads: Gauge => "xust_executor_threads";
+            /// Store snapshots currently pinned.
+            store_active_snapshots: Gauge => "xust_store_active_snapshots";
+            /// Store snapshots taken.
+            store_snapshots: Counter => "xust_store_snapshots_total";
+            /// Store shards.
+            store_shards: Gauge => "xust_store_shards";
+            /// Documents in the store.
+            store_docs: Gauge => "xust_store_docs";
+            /// Registered views.
+            views_registered: Gauge => "xust_views_registered";
+            /// Requests traced into the trace ring.
+            requests_traced: Counter => "xust_requests_traced_total";
+        }
+    }
+    labeled {
+        Family {
+            key: "verb",
+            labels: &["verb"],
+            metrics: &[
+                counter("requests", "xust_verb_requests_total", "Requests per protocol verb."),
+                counter("errors", "xust_verb_errors_total", "Failed requests per protocol verb."),
+            ],
+            rows: |s| {
+                let verbs = s.verbs.iter();
+                verbs.map(|&(v, r, e)| row(vec![v.name()], vec![r, e])).collect()
+            },
+        },
+        Family {
+            key: "method",
+            labels: &["method"],
+            metrics: &[counter(
+                "executions",
+                "xust_method_executions_total",
+                "Evaluations per method (the paper's per-method cost breakdown).",
+            )],
+            rows: |s| {
+                let methods = s.per_method.iter();
+                methods.map(|&(m, n)| row(vec![m.paper_name()], vec![n])).collect()
+            },
+        },
+        Family {
+            key: "view",
+            labels: &["view"],
+            metrics: &[
+                counter(
+                    "delta_retained",
+                    "xust_view_delta_retained_total",
+                    "Writes a view's cached result survived.",
+                ),
+                counter(
+                    "delta_patched",
+                    "xust_view_delta_patched_total",
+                    "Writes a view's cached result absorbed through an in-place patch.",
+                ),
+                counter(
+                    "delta_recomputed",
+                    "xust_view_delta_recomputed_total",
+                    "Writes that invalidated a view's cached result.",
+                ),
+            ],
+            rows: |s| {
+                let views = s.view_delta.iter();
+                views.map(|(v, r, p, x)| row(vec![v.as_str()], vec![*r, *p, *x])).collect()
+            },
+        },
+        Family {
+            key: "doc",
+            labels: &["doc"],
+            metrics: &[
+                counter(
+                    "delta_retained",
+                    "xust_doc_delta_retained_total",
+                    "Cached entries retained across writes to a document.",
+                ),
+                counter(
+                    "delta_patched",
+                    "xust_doc_delta_patched_total",
+                    "Cached entries patched in place by writes to a document.",
+                ),
+                counter(
+                    "patched_fragments",
+                    "xust_doc_patched_fragments_total",
+                    "Result fragments spliced by writes to a document.",
+                ),
+                counter(
+                    "delta_recomputed",
+                    "xust_doc_delta_recomputed_total",
+                    "Cached entries dropped by writes to a document.",
+                ),
+            ],
+            rows: |s| {
+                let docs = s.doc_delta.iter();
+                docs.map(|(d, r, p, f, x)| row(vec![d.as_str()], vec![*r, *p, *f, *x])).collect()
+            },
+        },
+        Family {
+            key: "prepared_cache",
+            labels: &["cache"],
+            metrics: &[
+                gauge("entries", "xust_prepared_cache_entries", "Resident prepared-cache entries."),
+                gauge("capacity", "xust_prepared_cache_capacity", "Prepared-cache capacity."),
+                counter("hits", "xust_prepared_cache_hits", "Prepared-cache hits."),
+                counter("misses", "xust_prepared_cache_misses", "Prepared-cache misses."),
+                counter("evictions", "xust_prepared_cache_evictions", "Prepared-cache evictions."),
+            ],
+            rows: |s| {
+                let caches = s.prepared_caches.iter();
+                caches.map(|(c, v)| row(vec![*c], v.to_vec())).collect()
+            },
+        },
+        Family {
+            key: "latency",
+            labels: &["scope", "key"],
+            metrics: &[
+                Metric::quantile(
+                    "p50",
+                    LATENCY,
+                    "0.5",
+                    "Latency (µs) per verb and view (requests) and per method (evaluations).",
+                ),
+                Metric::quantile("p90", LATENCY, "0.9", ""),
+                Metric::quantile("p99", LATENCY, "0.99", ""),
+                Metric::new("count", "xust_latency_micros_count", Kind::Summary, ""),
+                Metric::new("sum", "xust_latency_micros_sum", Kind::Summary, ""),
+                gauge("max", "xust_latency_micros_max", "Largest latency sample (µs)."),
+            ],
+            rows: |s| {
+                let hists = s.latency.iter();
+                hists
+                    .map(|(scope, key, h)| {
+                        let values = vec![h.p50, h.p90, h.p99, h.count, h.sum, h.max];
+                        row(vec![*scope, key.as_str()], values)
+                    })
+                    .collect()
+            },
+        },
+        Family {
+            key: "doc_label",
+            labels: &["doc", "label"],
+            metrics: &[gauge(
+                "count",
+                "xust_doc_label_count",
+                "Live elements per label in an in-memory document.",
+            )],
+            rows: |s| {
+                let docs = s.doc_labels.iter();
+                docs.flat_map(|(d, labels)| {
+                    labels.iter().map(move |(l, n)| {
+                        row(vec![d.as_str(), l.as_str()], vec![(*n).max(0) as u64])
+                    })
+                })
+                .collect()
+            },
+        },
     }
 }
 
 /// Request/error counters for one [`Verb`].
 #[derive(Debug, Default)]
-pub struct VerbCounters {
-    /// Requests that arrived under this verb.
-    pub requests: AtomicU64,
-    /// Of those, how many returned an error.
-    pub errors: AtomicU64,
+struct VerbCounters {
+    requests: AtomicU64,
+    errors: AtomicU64,
+}
+
+/// Per-view (or per-document) delta-maintenance counters.
+#[derive(Debug, Default)]
+pub struct DeltaCell {
+    /// Writes this row's cached result survived (maintained in place).
+    pub retained: AtomicU64,
+    /// Writes this row's cached result absorbed through an in-place
+    /// provenance patch (failed the relevance test, was not dropped).
+    pub patched: AtomicU64,
+    /// Result fragments spliced into this row's cached results (only
+    /// per-document rows track this; per-view rows leave it at zero).
+    pub patched_fragments: AtomicU64,
+    /// Writes that invalidated this row's cached result.
+    pub recomputed: AtomicU64,
 }
 
 /// Point-in-time read of one stats counter.
@@ -179,120 +762,29 @@ fn ld(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed) // relaxed: point-in-time read; staleness is fine
 }
 
-/// Counters for one [`crate::Server`].
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Requests accepted (all kinds).
-    pub requests: AtomicU64,
-    /// Requests that returned an error.
-    pub failures: AtomicU64,
-    /// Prepared-cache hits (transform or composed query reused).
-    pub cache_hits: AtomicU64,
-    /// Prepared-cache misses (entry had to be built).
-    pub cache_misses: AtomicU64,
-    /// Transform parse + NFA compilations actually performed.
-    pub compiles: AtomicU64,
-    /// User-query compositions actually performed.
-    pub compositions: AtomicU64,
-    /// View materializations served.
-    pub view_requests: AtomicU64,
-    /// User queries answered against a virtual view.
-    pub query_requests: AtomicU64,
-    /// Ad-hoc transform executions.
-    pub transform_requests: AtomicU64,
-    /// Batched entry-point invocations.
-    pub batches: AtomicU64,
-    /// Items executed through batched entry points.
-    pub batch_items: AtomicU64,
-    /// Work-stealing events across batch executions.
-    pub batch_steals: AtomicU64,
-    /// Streaming sessions opened.
-    pub stream_sessions: AtomicU64,
-    /// Live `UPDATE` writes accepted (applied and installed).
-    pub update_requests: AtomicU64,
-    /// View-result cache entries retained across a write (delta applied
-    /// in place, no recomputation).
-    pub delta_retained: AtomicU64,
-    /// Of the retained entries, how many were answered by the static
-    /// commutation table alone (no dynamic three-way intersection test
-    /// ran). Always `<= delta_retained`.
-    pub static_retained: AtomicU64,
-    /// View-result cache entries that failed the relevance test but
-    /// were **patched in place** through their provenance maps instead
-    /// of dropped (the third maintenance fate).
-    pub delta_patched: AtomicU64,
-    /// Result fragments spliced across all patch fates.
-    pub patched_fragments: AtomicU64,
-    /// View-result cache entries invalidated by a write (recomputed
-    /// lazily on next request).
-    pub delta_recomputed: AtomicU64,
-    /// Intact write-ahead-log records replayed at attach time.
-    pub wal_recovered: AtomicU64,
-    /// WAL recoveries that found — and dropped — a torn tail frame
-    /// (what a crash mid-append leaves behind).
-    pub wal_truncations: AtomicU64,
-    /// One-pass shared evaluations run: each counts a single document
-    /// sweep that produced results for every view riding it (write-path
-    /// recompute sweeps and grouped batch evaluations alike).
-    pub shared_passes: AtomicU64,
-    /// Views whose results were produced by a shared pass instead of a
-    /// private per-view evaluation. `shared_pass_views /
-    /// shared_passes` is the average factorisation width.
-    pub shared_pass_views: AtomicU64,
-    per_method: [AtomicU64; N_METHODS],
-    per_verb: [VerbCounters; Verb::ALL.len()],
-    /// Total busy time across requests, in microseconds.
-    pub busy_micros: AtomicU64,
-    /// Per-view latency EWMAs (µs), merged lock-free by [`EwmaCell`].
-    /// The map itself is read-mostly: a view's cell is created once and
-    /// then only its atomic word changes.
-    view_latency: RwLock<HashMap<String, Arc<EwmaCell>>>,
-    /// Per-view delta-maintenance outcomes: `(retained, recomputed)`.
-    view_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
-    /// Per-document delta-maintenance outcomes: `(retained,
-    /// recomputed)` for writes *to that document*. With the result
-    /// cache keyed by per-document versions, a document's counters move
-    /// only when it is written — a hot writer shows up here alone, and
-    /// its shard neighbours' rows staying at zero is the observable
-    /// proof that neighbour invalidation is gone (there is no `stale`
-    /// counter any more because there is no stale path).
-    doc_delta: RwLock<HashMap<String, Arc<DeltaCell>>>,
-    /// Per-document element-label histograms (`label → live count`),
-    /// seeded when an in-memory document is (re)loaded and shifted
-    /// incrementally by every applied write — the selectivity raw
-    /// material `STATS` surfaces per document.
-    // lock-order: leaf mutex — nothing else is ever taken while held.
-    doc_labels: Mutex<HashMap<String, HashMap<Sym, i64>>>,
+/// Adds `n` to a monotone counter.
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed); // relaxed: monotone counter; no data published
 }
 
-/// Per-view delta-maintenance counters.
-#[derive(Debug, Default)]
-pub struct DeltaCell {
-    /// Writes this view's cached result survived (maintained in place).
-    pub retained: AtomicU64,
-    /// Writes this view's cached result absorbed through an in-place
-    /// provenance patch (failed the relevance test, was not dropped).
-    pub patched: AtomicU64,
-    /// Result fragments spliced into this row's cached results (only
-    /// per-document rows track this; per-view rows leave it at zero).
-    pub patched_fragments: AtomicU64,
-    /// Writes that invalidated this view's cached result.
-    pub recomputed: AtomicU64,
-}
-
-/// New-sample weight for the per-view latency EWMA.
-const VIEW_EWMA_WEIGHT: f32 = 0.25;
-
-/// The shared get-or-create for the keyed counter maps: a read-lock
-/// lookup on the hot path, falling back to a write-lock insert the
-/// first time a key reports. Every keyed map in [`ServeStats`] goes
-/// through here so the locking discipline lives in one place.
+/// The shared get-or-create for the keyed maps: a read-lock lookup on
+/// the hot path, falling back to a write-lock insert the first time a
+/// key reports. Every keyed map in [`ServeStats`] goes through here so
+/// the locking discipline lives in one place.
 fn cell_of<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, key: &str) -> Arc<T> {
     if let Some(cell) = map.read().expect("stats lock poisoned").get(key) {
         return Arc::clone(cell);
     }
     let mut map = map.write().expect("stats lock poisoned");
     Arc::clone(map.entry(key.to_string()).or_default())
+}
+
+/// A keyed map read out as `f(key, cell)` rows, sorted by key.
+fn sorted_rows<T, R>(map: &RwLock<HashMap<String, Arc<T>>>, f: impl Fn(String, &T) -> R) -> Vec<R> {
+    let map = map.read().expect("stats lock poisoned");
+    let mut keys: Vec<&String> = map.keys().collect();
+    keys.sort();
+    keys.into_iter().map(|k| f(k.clone(), &map[k])).collect()
 }
 
 /// One histogram row in reporting order: count descending, then label
@@ -307,36 +799,102 @@ fn sorted_labels(hist: &HashMap<Sym, i64>) -> Vec<(String, i64)> {
 }
 
 impl ServeStats {
-    /// Folds one observed service latency for `view` into its EWMA.
-    /// Safe (and lossless) to call from any number of executor workers
-    /// at once — the merge is a single CAS loop per sample.
-    pub fn record_view_latency(&self, view: &str, micros: f64) {
-        cell_of(&self.view_latency, view).record(micros as f32, VIEW_EWMA_WEIGHT);
+    /// Records one timed request's outcome: the verb's counters, busy
+    /// time, the failure total, and the verb latency histogram — plus
+    /// the view's histogram when a view request succeeded (failures
+    /// are not charged to a view, so unknown view names cannot mint
+    /// histograms).
+    pub fn record_request(&self, verb: Verb, view: Option<&str>, ok: bool, micros: u64) {
+        add(&self.busy_micros, micros);
+        self.record_verb(verb, ok);
+        if !ok {
+            add(&self.failures, 1);
+        }
+        self.verb_latency[verb.index()].record(micros);
+        if let (true, Some(view)) = (ok, view) {
+            cell_of(&self.view_latency, view).record(micros);
+        }
     }
 
-    /// The latency EWMA for `view`: `(samples, micros)`, if sampled.
-    pub fn view_latency(&self, view: &str) -> Option<(u32, f32)> {
-        self.view_latency
-            .read()
-            .expect("stats lock poisoned")
-            .get(view)
-            .and_then(|c| c.get())
+    /// Records one request under `verb`; `ok == false` also bumps the
+    /// verb's error counter.
+    pub fn record_verb(&self, verb: Verb, ok: bool) {
+        let cell = &self.per_verb[verb.index()];
+        add(&cell.requests, 1);
+        if !ok {
+            add(&cell.errors, 1);
+        }
+    }
+
+    /// `(requests, errors)` recorded for `verb`.
+    pub fn verb_counts(&self, verb: Verb) -> (u64, u64) {
+        let cell = &self.per_verb[verb.index()];
+        (ld(&cell.requests), ld(&cell.errors))
+    }
+
+    /// Records one evaluation with `method` that took `micros`.
+    pub fn record_method(&self, method: Method, micros: u64) {
+        self.count_method(method);
+        self.method_latency[method.index()].record(micros);
+    }
+
+    /// Records one execution with `method` whose evaluation time is not
+    /// its own (a client-paced streaming session).
+    pub fn count_method(&self, method: Method) {
+        add(&self.per_method[method.index()], 1);
+    }
+
+    /// Executions recorded for `method`.
+    pub fn method_count(&self, method: Method) -> u64 {
+        ld(&self.per_method[method.index()])
+    }
+
+    /// The request-latency histogram for `verb`.
+    pub fn verb_histogram(&self, verb: Verb) -> &LatencyHistogram {
+        &self.verb_latency[verb.index()]
+    }
+
+    /// The evaluation-latency histogram for `method`.
+    pub fn method_histogram(&self, method: Method) -> &LatencyHistogram {
+        &self.method_latency[method.index()]
+    }
+
+    /// Every non-empty histogram: verbs and methods in index order,
+    /// views sorted by name.
+    fn latency_rows(&self) -> Vec<(&'static str, String, HistogramSnapshot)> {
+        let verbs = Verb::ALL.iter().map(|v| {
+            (
+                "verb",
+                v.name().to_string(),
+                self.verb_histogram(*v).snapshot(),
+            )
+        });
+        let views = sorted_rows(&self.view_latency, |k, h| ("view", k, h.snapshot()));
+        let methods = Method::ALL.iter().map(|m| {
+            (
+                "method",
+                m.to_string(),
+                self.method_histogram(*m).snapshot(),
+            )
+        });
+        verbs
+            .chain(views)
+            .chain(methods)
+            .filter(|(_, _, h)| h.count > 0)
+            .collect()
     }
 
     /// Records one delta-maintenance outcome for `view` (and the global
     /// totals): `retained == true` means the cached result survived the
     /// write, `false` that it was dropped for lazy recomputation.
     pub fn record_view_delta(&self, view: &str, retained: bool) {
-        if retained {
-            self.delta_retained.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        } else {
-            self.delta_recomputed.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        }
         let cell = cell_of(&self.view_delta, view);
         if retained {
-            cell.retained.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+            add(&self.delta_retained, 1);
+            add(&cell.retained, 1);
         } else {
-            cell.recomputed.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+            add(&self.delta_recomputed, 1);
+            add(&cell.recomputed, 1);
         }
     }
 
@@ -344,10 +902,8 @@ impl ServeStats {
     /// total): the view's cached result failed the relevance test but
     /// was spliced in place through its provenance map.
     pub fn record_view_patched(&self, view: &str) {
-        self.delta_patched.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell_of(&self.view_delta, view)
-            .patched
-            .fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        add(&self.delta_patched, 1);
+        add(&cell_of(&self.view_delta, view).patched, 1);
     }
 
     /// The delta counters for `view`: `(retained, patched, recomputed)`,
@@ -374,11 +930,10 @@ impl ServeStats {
         recomputed: u64,
     ) {
         let cell = cell_of(&self.doc_delta, doc);
-        cell.retained.fetch_add(retained, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.patched.fetch_add(patched, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.patched_fragments
-            .fetch_add(patched_fragments, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        cell.recomputed.fetch_add(recomputed, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        add(&cell.retained, retained);
+        add(&cell.patched, patched);
+        add(&cell.patched_fragments, patched_fragments);
+        add(&cell.recomputed, recomputed);
     }
 
     /// Drops `doc`'s per-document delta row and label histogram. Called
@@ -455,305 +1010,6 @@ impl ServeStats {
         let map = self.doc_labels.lock().expect("stats lock poisoned");
         map.get(doc).map(sorted_labels)
     }
-
-    /// Records one request under `verb`; `ok == false` also bumps the
-    /// verb's error counter.
-    pub fn record_verb(&self, verb: Verb, ok: bool) {
-        let cell = &self.per_verb[verb.index()];
-        cell.requests.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        if !ok {
-            cell.errors.fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-        }
-    }
-
-    /// `(requests, errors)` recorded for `verb`.
-    pub fn verb_counts(&self, verb: Verb) -> (u64, u64) {
-        let cell = &self.per_verb[verb.index()];
-        (ld(&cell.requests), ld(&cell.errors))
-    }
-
-    /// Records one execution with `method`.
-    pub fn count_method(&self, m: Method) {
-        self.per_method[method_index(m)].fetch_add(1, Ordering::Relaxed); // relaxed: monotone counter; no data published
-    }
-
-    /// Executions recorded for `method`.
-    pub fn method_count(&self, m: Method) -> u64 {
-        ld(&self.per_method[method_index(m)])
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: ld(&self.requests),
-            failures: ld(&self.failures),
-            cache_hits: ld(&self.cache_hits),
-            cache_misses: ld(&self.cache_misses),
-            compiles: ld(&self.compiles),
-            compositions: ld(&self.compositions),
-            view_requests: ld(&self.view_requests),
-            query_requests: ld(&self.query_requests),
-            transform_requests: ld(&self.transform_requests),
-            batches: ld(&self.batches),
-            batch_items: ld(&self.batch_items),
-            batch_steals: ld(&self.batch_steals),
-            interned_labels: xust_intern::Interner::global().len(),
-            stream_sessions: ld(&self.stream_sessions),
-            update_requests: ld(&self.update_requests),
-            delta_retained: ld(&self.delta_retained),
-            static_retained: ld(&self.static_retained),
-            delta_patched: ld(&self.delta_patched),
-            patched_fragments: ld(&self.patched_fragments),
-            delta_recomputed: ld(&self.delta_recomputed),
-            wal_recovered: ld(&self.wal_recovered),
-            wal_truncations: ld(&self.wal_truncations),
-            shared_passes: ld(&self.shared_passes),
-            shared_pass_views: ld(&self.shared_pass_views),
-            // The result cache is its own source of truth for hit/miss
-            // counts; `Server::stats` overlays them (a bare `ServeStats`
-            // has no cache attached).
-            result_hits: 0,
-            result_misses: 0,
-            busy_micros: ld(&self.busy_micros),
-            per_method: Method::ALL.map(|m| (m, self.method_count(m))),
-            verbs: {
-                let mut v: Vec<(Verb, u64, u64)> = Verb::ALL
-                    .iter()
-                    .map(|&verb| {
-                        let (r, e) = self.verb_counts(verb);
-                        (verb, r, e)
-                    })
-                    .filter(|&(_, r, e)| r > 0 || e > 0)
-                    .collect();
-                v.sort_by(|a, b| a.0.name().cmp(b.0.name()));
-                v
-            },
-            view_delta: {
-                let map = self.view_delta.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u64, u64, u64)> = map
-                    .iter()
-                    .map(|(k, c)| {
-                        (
-                            k.clone(),
-                            ld(&c.retained),
-                            ld(&c.patched),
-                            ld(&c.recomputed),
-                        )
-                    })
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            doc_delta: {
-                let map = self.doc_delta.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u64, u64, u64, u64)> = map
-                    .iter()
-                    .map(|(k, c)| {
-                        (
-                            k.clone(),
-                            ld(&c.retained),
-                            ld(&c.patched),
-                            ld(&c.patched_fragments),
-                            ld(&c.recomputed),
-                        )
-                    })
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            doc_labels: {
-                let map = self.doc_labels.lock().expect("stats lock poisoned");
-                let mut v: Vec<(String, Vec<(String, i64)>)> = map
-                    .iter()
-                    .map(|(doc, hist)| (doc.clone(), sorted_labels(hist)))
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-            view_latency: {
-                let map = self.view_latency.read().expect("stats lock poisoned");
-                let mut v: Vec<(String, u32, f32)> = map
-                    .iter()
-                    .filter_map(|(k, c)| c.get().map(|(n, e)| (k.clone(), n, e)))
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            },
-        }
-    }
-}
-
-/// A point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone)]
-pub struct StatsSnapshot {
-    /// Requests accepted.
-    pub requests: u64,
-    /// Requests that errored.
-    pub failures: u64,
-    /// Prepared-cache hits.
-    pub cache_hits: u64,
-    /// Prepared-cache misses.
-    pub cache_misses: u64,
-    /// Parse + NFA compilations performed.
-    pub compiles: u64,
-    /// Compositions performed.
-    pub compositions: u64,
-    /// View materializations.
-    pub view_requests: u64,
-    /// Virtual-view queries.
-    pub query_requests: u64,
-    /// Ad-hoc transforms.
-    pub transform_requests: u64,
-    /// Batch invocations.
-    pub batches: u64,
-    /// Items executed through batched entry points.
-    pub batch_items: u64,
-    /// Work-stealing events across batch executions.
-    pub batch_steals: u64,
-    /// Distinct labels in the shared interner at snapshot time — the
-    /// vocabulary-growth gauge an operator watches when untrusted
-    /// documents can mint fresh element/attribute names (the interner
-    /// never shrinks; see DESIGN.md "Interning").
-    pub interned_labels: usize,
-    /// Streaming sessions opened.
-    pub stream_sessions: u64,
-    /// Live `UPDATE` writes accepted.
-    pub update_requests: u64,
-    /// View-result cache entries retained across writes (maintained in
-    /// place — the delta-aware win).
-    pub delta_retained: u64,
-    /// Of those, entries retained on the static commutation table's
-    /// verdict alone (registration-time analysis; no dynamic test ran).
-    pub static_retained: u64,
-    /// Entries that failed the relevance test but were patched in place
-    /// through their provenance maps (the third maintenance fate).
-    pub delta_patched: u64,
-    /// Result fragments spliced across all patch fates.
-    pub patched_fragments: u64,
-    /// View-result cache entries invalidated by writes.
-    pub delta_recomputed: u64,
-    /// Intact WAL records replayed at attach time.
-    pub wal_recovered: u64,
-    /// WAL recoveries that dropped a torn tail.
-    pub wal_truncations: u64,
-    /// One-pass shared evaluations run (factorised sweeps).
-    pub shared_passes: u64,
-    /// Views whose results rode a shared pass.
-    pub shared_pass_views: u64,
-    /// View-result cache hits (sourced from
-    /// [`ViewResultCache`](crate::ViewResultCache) by `Server::stats`).
-    pub result_hits: u64,
-    /// View-result cache misses (sourced likewise).
-    pub result_misses: u64,
-    /// Total busy time (µs).
-    pub busy_micros: u64,
-    /// Executions per evaluation method.
-    pub per_method: [(Method, u64); N_METHODS],
-    /// Per-verb request/error counts: `(verb, requests, errors)`,
-    /// sorted by verb name, verbs with no traffic omitted.
-    pub verbs: Vec<(Verb, u64, u64)>,
-    /// Per-view latency EWMAs: `(view, samples, micros)`, sorted by view.
-    pub view_latency: Vec<(String, u32, f32)>,
-    /// Per-view delta outcomes: `(view, retained, patched,
-    /// recomputed)`, sorted.
-    pub view_delta: Vec<(String, u64, u64, u64)>,
-    /// Per-document delta outcomes for writes to that document: `(doc,
-    /// retained, patched, patched_fragments, recomputed)`, sorted. A
-    /// document appears here iff it was written — neighbour rows never
-    /// move.
-    pub doc_delta: Vec<(String, u64, u64, u64, u64)>,
-    /// Per-document element-label histograms: `(doc, [(label, count)])`
-    /// sorted by document, rows sorted by count descending then label.
-    /// Only seeded (in-memory) documents appear.
-    pub doc_labels: Vec<(String, Vec<(String, i64)>)>,
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests={} failures={} views={} queries={} transforms={} batches={}",
-            self.requests,
-            self.failures,
-            self.view_requests,
-            self.query_requests,
-            self.transform_requests,
-            self.batches
-        )?;
-        writeln!(
-            f,
-            "cache: hits={} misses={} compiles={} compositions={} interned_labels={}",
-            self.cache_hits,
-            self.cache_misses,
-            self.compiles,
-            self.compositions,
-            self.interned_labels
-        )?;
-        writeln!(
-            f,
-            "batches: runs={} items={} steals={} stream_sessions={}",
-            self.batches, self.batch_items, self.batch_steals, self.stream_sessions
-        )?;
-        writeln!(
-            f,
-            "updates: accepted={} delta_retained={} static_retained={} delta_patched={} patched_fragments={} delta_recomputed={} result_hits={} result_misses={}",
-            self.update_requests,
-            self.delta_retained,
-            self.static_retained,
-            self.delta_patched,
-            self.patched_fragments,
-            self.delta_recomputed,
-            self.result_hits,
-            self.result_misses
-        )?;
-        writeln!(
-            f,
-            "wal: recovered={} truncations={}",
-            self.wal_recovered, self.wal_truncations
-        )?;
-        writeln!(
-            f,
-            "shared: passes={} shared_pass_views={}",
-            self.shared_passes, self.shared_pass_views
-        )?;
-        write!(f, "methods:")?;
-        for (m, n) in &self.per_method {
-            if *n > 0 {
-                write!(f, " {m}={n}")?;
-            }
-        }
-        write!(f, " busy={}µs", self.busy_micros)?;
-        for (view, n, ewma) in &self.view_latency {
-            write!(f, "\nview {view}: ewma={ewma:.0}µs samples={n}")?;
-        }
-        for (view, retained, patched, recomputed) in &self.view_delta {
-            write!(
-                f,
-                "\nview {view}: delta_retained={retained} delta_patched={patched} delta_recomputed={recomputed}"
-            )?;
-        }
-        for (doc, retained, patched, fragments, recomputed) in &self.doc_delta {
-            write!(
-                f,
-                "\ndoc {doc}: delta_retained={retained} delta_patched={patched} patched_fragments={fragments} delta_recomputed={recomputed}"
-            )?;
-        }
-        for (doc, labels) in &self.doc_labels {
-            write!(f, "\ndoc {doc} labels:")?;
-            // The busiest labels carry the selectivity signal; a long
-            // tail of one-offs would drown the reply.
-            for (label, count) in labels.iter().take(12) {
-                write!(f, " {label}={count}")?;
-            }
-            if labels.len() > 12 {
-                write!(f, " (+{} more)", labels.len() - 12)?;
-            }
-        }
-        for (verb, requests, errors) in &self.verbs {
-            write!(f, "\nverb {verb}: requests={requests} errors={errors}")?;
-        }
-        Ok(())
-    }
 }
 
 /// Escapes `s` for embedding in a JSON string literal.
@@ -773,137 +1029,115 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Appends `{name="value",…}` to a `METRICS` series, escaping `\`, `"`
+/// and newline in every value; appends nothing when there are no labels.
+fn write_labels<'a>(out: &mut String, labels: impl Iterator<Item = (&'a str, &'a str)>) {
+    let mut sep = '{';
+    for (name, value) in labels {
+        out.push(sep);
+        sep = ',';
+        out.push_str(name);
+        out.push_str("=\"");
+        for c in value.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    if sep == ',' {
+        out.push('}');
+    }
+}
+
+/// `STATS`: one line per row, `family[ label…]: key=value …`.
+impl fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sep = "";
+        for family in REGISTRY {
+            for row in (family.rows)(self) {
+                write!(f, "{sep}{}", family.key)?;
+                sep = "\n";
+                for label in &row.labels {
+                    write!(f, " {label}")?;
+                }
+                f.write_str(":")?;
+                for (metric, value) in family.metrics.iter().zip(&row.values) {
+                    write!(f, " {}={value}", metric.key)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl StatsSnapshot {
-    /// Renders the snapshot as one JSON object (stable key order, no
-    /// trailing newline). The workspace deliberately has no serde; the
-    /// shape is flat enough that hand-rolling stays honest.
+    /// `--stats-json`: one JSON object (stable key order, no trailing
+    /// newline). The workspace deliberately has no serde.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        let _ = write!(
-            s,
-            "\"requests\":{},\"failures\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"compiles\":{},\"compositions\":{},\"view_requests\":{},\"query_requests\":{},\
-             \"transform_requests\":{},\"batches\":{},\"batch_items\":{},\"batch_steals\":{},\
-             \"interned_labels\":{},\"stream_sessions\":{},\"update_requests\":{},\
-             \"delta_retained\":{},\"static_retained\":{},\"delta_patched\":{},\
-             \"patched_fragments\":{},\"delta_recomputed\":{},\"wal_recovered\":{},\
-             \"wal_truncations\":{},\"shared_passes\":{},\
-             \"shared_pass_views\":{},\"result_hits\":{},\
-             \"result_misses\":{},\"busy_micros\":{}",
-            self.requests,
-            self.failures,
-            self.cache_hits,
-            self.cache_misses,
-            self.compiles,
-            self.compositions,
-            self.view_requests,
-            self.query_requests,
-            self.transform_requests,
-            self.batches,
-            self.batch_items,
-            self.batch_steals,
-            self.interned_labels,
-            self.stream_sessions,
-            self.update_requests,
-            self.delta_retained,
-            self.static_retained,
-            self.delta_patched,
-            self.patched_fragments,
-            self.delta_recomputed,
-            self.wal_recovered,
-            self.wal_truncations,
-            self.shared_passes,
-            self.shared_pass_views,
-            self.result_hits,
-            self.result_misses,
-            self.busy_micros
-        );
-        s.push_str(",\"per_method\":[");
-        let mut first = true;
-        for (m, n) in &self.per_method {
-            if *n == 0 {
+        let mut s = String::with_capacity(4096);
+        let mut sep = '{';
+        for family in REGISTRY {
+            let rows = (family.rows)(self);
+            if family.labels.is_empty() {
+                for row in &rows {
+                    for (metric, value) in family.metrics.iter().zip(&row.values) {
+                        let _ = write!(s, "{sep}\"{}\":{value}", metric.key);
+                        sep = ',';
+                    }
+                }
                 continue;
             }
-            if !first {
-                s.push(',');
+            let _ = write!(s, "{sep}\"{}\":[", family.key);
+            sep = ',';
+            for (i, row) in rows.iter().enumerate() {
+                s.push_str(if i == 0 { "{" } else { ",{" });
+                let labels = (family.labels.iter().zip(&row.labels))
+                    .map(|(name, value)| format!("\"{name}\":\"{}\"", json_escape(value)));
+                let values = (family.metrics.iter().zip(&row.values))
+                    .map(|(metric, value)| format!("\"{}\":{value}", metric.key));
+                s.push_str(&labels.chain(values).collect::<Vec<_>>().join(","));
+                s.push('}');
             }
-            first = false;
-            let _ = write!(
-                s,
-                "{{\"method\":\"{}\",\"count\":{n}}}",
-                json_escape(&m.to_string())
-            );
+            s.push(']');
         }
-        s.push_str("],\"verbs\":[");
-        for (i, (verb, requests, errors)) in self.verbs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"verb\":\"{verb}\",\"requests\":{requests},\"errors\":{errors}}}"
-            );
-        }
-        s.push_str("],\"view_latency\":[");
-        for (i, (view, n, ewma)) in self.view_latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"view\":\"{}\",\"samples\":{n},\"ewma_micros\":{:.1}}}",
-                json_escape(view),
-                ewma
-            );
-        }
-        s.push_str("],\"view_delta\":[");
-        for (i, (view, retained, patched, recomputed)) in self.view_delta.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"view\":\"{}\",\"retained\":{retained},\"patched\":{patched},\
-                 \"recomputed\":{recomputed}}}",
-                json_escape(view)
-            );
-        }
-        s.push_str("],\"doc_delta\":[");
-        for (i, (doc, retained, patched, fragments, recomputed)) in
-            self.doc_delta.iter().enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"doc\":\"{}\",\"retained\":{retained},\"patched\":{patched},\
-                 \"patched_fragments\":{fragments},\"recomputed\":{recomputed}}}",
-                json_escape(doc)
-            );
-        }
-        s.push_str("],\"doc_labels\":[");
-        for (i, (doc, labels)) in self.doc_labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"doc\":\"{}\",\"labels\":[", json_escape(doc));
-            for (j, (label, count)) in labels.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"label\":\"{}\",\"count\":{count}}}",
-                    json_escape(label)
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
+        s.push('}');
         s
+    }
+
+    /// `METRICS`: a Prometheus-style text exposition. Each series is
+    /// announced once (`# HELP`, `# TYPE`), then one
+    /// `series{labels} value` line per row.
+    pub fn render_metrics(&self) -> String {
+        let mut out = String::with_capacity(16 * 1024);
+        for family in REGISTRY {
+            let rows = (family.rows)(self);
+            let mut announced = "";
+            for (i, metric) in family.metrics.iter().enumerate() {
+                if metric.announced() && metric.series != announced {
+                    let _ = writeln!(out, "# HELP {} {}", metric.series, metric.help.trim());
+                    let _ = writeln!(out, "# TYPE {} {}", metric.series, metric.kind.name());
+                    announced = metric.series;
+                }
+                for row in &rows {
+                    out.push_str(metric.series);
+                    let labels = family
+                        .labels
+                        .iter()
+                        .copied()
+                        .zip(row.labels.iter().copied());
+                    write_labels(
+                        &mut out,
+                        labels.chain(metric.quantile.map(|q| ("quantile", q))),
+                    );
+                    let _ = writeln!(out, " {}", row.values[i]);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -915,77 +1149,30 @@ mod tests {
     #[test]
     fn counters_roundtrip() {
         let s = ServeStats::default();
-        s.requests.fetch_add(3, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        add(&s.requests, 3);
         s.count_method(Method::TwoPass);
-        s.count_method(Method::TwoPass);
+        s.record_method(Method::TwoPass, 40);
         s.count_method(Method::Naive);
         let snap = s.snapshot();
         assert_eq!(snap.requests, 3);
         assert_eq!(s.method_count(Method::TwoPass), 2);
         assert_eq!(s.method_count(Method::Naive), 1);
         assert_eq!(s.method_count(Method::TopDown), 0);
+        assert_eq!(s.method_histogram(Method::TwoPass).count(), 1);
         let text = snap.to_string();
-        assert!(text.contains("requests=3"));
-        assert!(text.contains("TD-BU=2"));
+        assert!(text.contains("requests: requests=3 "), "{text}");
+        assert!(text.contains("method TD-BU: executions=2"), "{text}");
+        assert!(text.contains("latency method TD-BU: p50=40 "), "{text}");
     }
 
     #[test]
-    fn ewma_single_thread_matches_reference_fold() {
-        let cell = EwmaCell::default();
-        let samples = [100.0f32, 50.0, 200.0, 10.0, 400.0];
-        let mut reference = None;
-        for &s in &samples {
-            cell.record(s, 0.25);
-            reference = Some(match reference {
-                None => s,
-                Some(prev) => 0.25 * s + 0.75 * prev,
-            });
+    fn indexes_are_positions() {
+        for (i, v) in Verb::ALL.iter().enumerate() {
+            assert_eq!(v.index(), i);
         }
-        let (n, v) = cell.get().unwrap();
-        assert_eq!(n, samples.len() as u32);
-        assert!((v - reference.unwrap()).abs() < 1e-3, "{v}");
-    }
-
-    /// Regression test for the atomic merge: with the packed-word CAS
-    /// loop, concurrent reporters can never lose a fold — the sample
-    /// count equals the number of reports exactly. (A two-field
-    /// read-modify-write drops folds under this hammering.)
-    #[test]
-    fn ewma_concurrent_merge_loses_nothing() {
-        use std::sync::Barrier;
-        const THREADS: usize = 16;
-        const PER_THREAD: u32 = 2_000;
-        let cell = Arc::new(EwmaCell::default());
-        let barrier = Arc::new(Barrier::new(THREADS));
-        let workers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let cell = Arc::clone(&cell);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..PER_THREAD {
-                        // Samples confined to [100, 300]: the EWMA must
-                        // stay inside the sample hull whatever the
-                        // interleaving.
-                        let sample = 100.0 + ((t as u32 * 7 + i) % 3) as f32 * 100.0;
-                        cell.record(sample, 0.25);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
+        for (i, m) in Method::ALL.iter().enumerate() {
+            assert_eq!(m.index(), i);
         }
-        let (count, value) = cell.get().unwrap();
-        assert_eq!(
-            count,
-            THREADS as u32 * PER_THREAD,
-            "every concurrent fold must land exactly once"
-        );
-        assert!(
-            (100.0..=300.0).contains(&value),
-            "ewma escaped hull: {value}"
-        );
     }
 
     #[test]
@@ -1045,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn per_verb_counters_roll_up_sorted() {
+    fn per_verb_counters_cover_every_verb() {
         let s = ServeStats::default();
         assert_eq!(s.verb_counts(Verb::View), (0, 0));
         s.record_verb(Verb::View, true);
@@ -1054,43 +1241,120 @@ mod tests {
         assert_eq!(s.verb_counts(Verb::View), (2, 1));
         assert_eq!(s.verb_counts(Verb::Update), (1, 0));
         let snap = s.snapshot();
-        // Sorted by verb name; untouched verbs omitted.
-        assert_eq!(snap.verbs, vec![(Verb::Update, 1, 0), (Verb::View, 2, 1)]);
+        // Every verb has a row (a stable schema), in index order.
+        assert_eq!(snap.verbs.len(), Verb::ALL.len());
+        assert_eq!(snap.verbs[Verb::View.index()], (Verb::View, 2, 1));
+        assert_eq!(snap.verbs[Verb::Load.index()], (Verb::Load, 0, 0));
         let text = snap.to_string();
         assert!(text.contains("verb view: requests=2 errors=1"), "{text}");
         assert!(text.contains("verb update: requests=1 errors=0"), "{text}");
     }
 
     #[test]
+    fn record_request_feeds_counters_and_histograms() {
+        let s = ServeStats::default();
+        s.record_request(Verb::View, Some("public"), true, 100);
+        s.record_request(Verb::View, Some("public"), true, 100);
+        s.record_request(Verb::View, Some("nope"), false, 7);
+        assert_eq!(s.verb_counts(Verb::View), (3, 1));
+        assert_eq!(ld(&s.failures), 1);
+        assert_eq!(ld(&s.busy_micros), 207);
+        assert_eq!(s.verb_histogram(Verb::View).count(), 3);
+        // Failed requests mint no view histogram.
+        let snap = s.snapshot();
+        let scopes: Vec<(&str, &str, u64)> = snap
+            .latency
+            .iter()
+            .map(|(scope, key, h)| (*scope, key.as_str(), h.count))
+            .collect();
+        assert_eq!(scopes, vec![("verb", "view", 3), ("view", "public", 2)]);
+        assert!(snap
+            .to_string()
+            .contains("latency view public: p50=100 p90=100 p99=100 count=2 sum=200 max=100"));
+    }
+
+    #[test]
     fn json_rendering_is_well_formed() {
         let s = ServeStats::default();
-        s.requests.fetch_add(2, Ordering::Relaxed); // relaxed: monotone counter; no data published
+        add(&s.requests, 2);
         s.count_method(Method::TopDown);
         s.record_verb(Verb::Query, true);
-        s.record_view_latency("pub\"lic", 120.0);
+        s.record_request(Verb::View, Some("pub\"lic"), true, 120);
         s.record_view_delta("public", true);
         s.record_doc_delta("db", 1, 1, 2, 0);
         s.seed_doc_labels("db", HashMap::from([(intern("person"), 3)]));
         let json = s.snapshot().render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"requests\":2"), "{json}");
+        assert!(json.contains("\"requests\":2,"), "{json}");
         assert!(
             json.contains("{\"verb\":\"query\",\"requests\":1,\"errors\":0}"),
             "{json}"
         );
-        assert!(json.contains("\"view\":\"pub\\\"lic\""), "escaped: {json}");
+        assert!(
+            json.contains("{\"method\":\"GENTOP\",\"executions\":1}"),
+            "{json}"
+        );
+        assert!(json.contains("\"key\":\"pub\\\"lic\""), "escaped: {json}");
         assert!(
             json.contains(
-                "{\"doc\":\"db\",\"retained\":1,\"patched\":1,\
-                 \"patched_fragments\":2,\"recomputed\":0}"
+                "\"doc\":[{\"doc\":\"db\",\"delta_retained\":1,\"delta_patched\":1,\
+                 \"patched_fragments\":2,\"delta_recomputed\":0}]"
             ),
             "{json}"
         );
         assert!(
-            json.contains("{\"doc\":\"db\",\"labels\":[{\"label\":\"person\",\"count\":3}]}"),
+            json.contains("\"doc_label\":[{\"doc\":\"db\",\"label\":\"person\",\"count\":3}]"),
             "{json}"
         );
+        assert!(json.contains("\"prepared_cache\":[]"), "{json}");
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    #[test]
+    fn metrics_label_values_are_escaped() {
+        let s = ServeStats::default();
+        s.record_request(Verb::View, Some("a\\b\"c\nd"), true, 5);
+        let text = s.snapshot().render_metrics();
+        assert!(
+            text.contains("xust_latency_micros_count{scope=\"view\",key=\"a\\\\b\\\"c\\nd\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE xust_latency_micros summary"),
+            "{text}"
+        );
+        assert!(!text.contains("# TYPE xust_latency_micros_count"), "{text}");
+        assert!(
+            text.contains("# TYPE xust_requests_total counter"),
+            "{text}"
+        );
+        assert!(text.contains("xust_busy_micros_total 5\n"), "{text}");
+    }
+
+    /// The registry is the single declaration: no `METRICS` series (with
+    /// its quantile) or `STATS`/JSON key is declared twice where a
+    /// rendering would conflate them.
+    #[test]
+    fn registry_declares_each_series_once() {
+        let mut series = std::collections::HashSet::new();
+        let mut scalar_keys = std::collections::HashSet::new();
+        let mut family_keys = std::collections::HashSet::new();
+        for family in REGISTRY {
+            assert!(family_keys.insert(family.key), "family {}", family.key);
+            let mut keys = std::collections::HashSet::new();
+            for m in family.metrics {
+                assert!(series.insert((m.series, m.quantile)), "series {}", m.series);
+                assert!(keys.insert(m.key), "key {} in {}", m.key, family.key);
+                if family.labels.is_empty() {
+                    assert!(scalar_keys.insert(m.key), "scalar key {}", m.key);
+                }
+                assert!(
+                    !m.announced() || !m.help.trim().is_empty() || m.quantile.is_some(),
+                    "{} has no help",
+                    m.series
+                );
+            }
+        }
     }
 
     #[test]
@@ -1118,25 +1382,89 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.doc_labels.len(), 1);
         let text = snap.to_string();
-        assert!(text.contains("doc db labels:"), "{text}");
-        assert!(text.contains("item=5"), "{text}");
+        assert!(text.contains("doc_label db item: count=5"), "{text}");
         s.forget_doc("db");
         assert!(s.doc_labels("db").is_none());
     }
 
     #[test]
-    fn per_view_latency_rolls_up_into_snapshots() {
-        let s = ServeStats::default();
-        assert!(s.view_latency("public").is_none());
-        s.record_view_latency("public", 100.0);
-        s.record_view_latency("public", 100.0);
-        s.record_view_latency("audit", 900.0);
-        let (n, v) = s.view_latency("public").unwrap();
-        assert_eq!(n, 2);
-        assert!((v - 100.0).abs() < 1e-3);
-        let snap = s.snapshot();
-        assert_eq!(snap.view_latency.len(), 2);
-        assert_eq!(snap.view_latency[0].0, "audit");
-        assert!(snap.to_string().contains("view public: ewma=100µs"));
+    fn bucket_index_is_monotone_and_sqrt2_spaced() {
+        let mut last = 0;
+        for v in 1..100_000u64 {
+            let i = LatencyHistogram::bucket_index(v);
+            assert!(i >= last, "index regressed at {v}");
+            last = i;
+            // v sits strictly below its bucket's upper bound.
+            assert!(
+                v < LatencyHistogram::bucket_upper(i) + 1,
+                "{v} outside bucket {i}"
+            );
+        }
+        assert_eq!(LatencyHistogram::bucket_index(0), 0);
+        assert_eq!(LatencyHistogram::bucket_index(1), 0);
+        assert_eq!(LatencyHistogram::bucket_index(u64::MAX), HIST_BUCKETS - 1);
+        // 60 s = 6·10⁷ µs lands comfortably inside the bucket range.
+        assert!(LatencyHistogram::bucket_index(60_000_000) < HIST_BUCKETS - 1);
+    }
+
+    #[test]
+    fn quantiles_track_known_distribution() {
+        let h = LatencyHistogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 1000);
+        assert_eq!(h.sum(), 500_500);
+        assert_eq!(h.max(), 1000);
+        // A √2-bucketed quantile is within one bucket of the truth.
+        let p50 = h.quantile(0.5);
+        assert!((500..=1000).contains(&p50), "p50={p50}");
+        assert!(p50 <= 500 * 2, "p50={p50} more than one bucket off");
+        assert_eq!(h.quantile(1.0), 1000, "p100 clamps to the exact max");
+        assert_eq!(LatencyHistogram::new().quantile(0.5), 0, "empty → 0");
+    }
+
+    #[test]
+    fn concurrent_records_conserve_count_and_sum() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        const PER_THREAD: u64 = 5_000;
+        let concurrent = Arc::new(LatencyHistogram::new());
+        let reference = LatencyHistogram::new();
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let h = Arc::clone(&concurrent);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        h.record((t as u64 * 31 + i * 7) % 10_000 + 1);
+                    }
+                })
+            })
+            .collect();
+        for t in 0..THREADS as u64 {
+            for i in 0..PER_THREAD {
+                reference.record((t * 31 + i * 7) % 10_000 + 1);
+            }
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(concurrent.count(), THREADS as u64 * PER_THREAD);
+        assert_eq!(concurrent.count(), reference.count());
+        assert_eq!(concurrent.sum(), reference.sum());
+        assert_eq!(concurrent.max(), reference.max());
+        // Same multiset of samples → same buckets → quantiles within
+        // one bucket (here: exactly equal) of the single-threaded run.
+        for q in [0.5, 0.9, 0.99] {
+            let (a, b) = (concurrent.quantile(q), reference.quantile(q));
+            let (ba, bb) = (
+                LatencyHistogram::bucket_index(a),
+                LatencyHistogram::bucket_index(b),
+            );
+            assert!(ba.abs_diff(bb) <= 1, "q={q}: {a} vs {b}");
+        }
     }
 }

@@ -812,7 +812,7 @@ mod tests {
         assert_eq!(lines[6], "<out><part><n>kb</n></part></out>");
         assert!(text.contains("<item>"));
         assert!(text.contains("ERR unknown view 'missing'"));
-        assert!(text.contains("cache: hits="));
+        assert!(text.contains("cache: cache_hits="));
         assert!(text.contains("ERR unknown verb 'nonsense'"));
         // QUIT stopped the loop: exactly one successful VIEW of 'public'.
         assert_eq!(text.matches(&format!("OK {}", body.len())).count(), 1);
