@@ -32,7 +32,7 @@ use xust_bench::{
 };
 use xust_core::{multi_view_with_stats, two_pass, TransformQuery};
 use xust_serve::{serve_pipelined, PipelineOptions, Request, Server};
-use xust_tree::Document;
+use xust_tree::{Document, NodeId, NodeKind};
 use xust_xpath::parse_path;
 
 struct LabelRow {
@@ -103,6 +103,17 @@ struct IvmPatchRow {
     recompute_micros_per_write: f64,
     /// patch / recompute write time; sublinear maintenance pays off
     /// below 1.0 and the `--check` gate demands ≤ [`IVM_PATCH_MARGIN`].
+    ratio: f64,
+}
+
+struct SerializeRow {
+    /// Bytes of one serialization of the document.
+    bytes: usize,
+    /// `Document::serialize`: the direct tree walk.
+    direct_mb_s: f64,
+    /// The same document through [`serialize_reference`].
+    reference_mb_s: f64,
+    /// direct / reference time; the gate demands ≤ [`SERIALIZE_MARGIN`].
     ratio: f64,
 }
 
@@ -190,6 +201,16 @@ const OBS_OVERHEAD_MARGIN: f64 = 3.0;
 /// anything is timed, so a trip means localisation itself degraded
 /// (e.g. every write spills past the span threshold), not jitter.
 const IVM_PATCH_MARGIN: f64 = 0.25;
+
+/// Maximum direct-over-reference serialization time ratio `--check`
+/// accepts. `Document::serialize` walks the sibling links, appends
+/// straight to one `String` and escapes by byte runs; the reference
+/// ([`serialize_reference`]) is the frame-stack walk with per-`char`
+/// escaping through a `Vec<u8>` sink. On a 2-vCPU VM the ratio
+/// measured 0.32–0.39, and 0.46–0.62 with per-`char` escaping put back
+/// into `xust_sax` (0.73–0.86 with one child `Vec` per element put back
+/// into the walk), so a trip means either half of the gain regressed.
+const SERIALIZE_MARGIN: f64 = 0.45;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -335,8 +356,9 @@ fn main() {
     // Longer passes than serve_mixed: the effect measured here is ~1%
     // per request, so each pass must be long enough (tens of
     // milliseconds) that scheduler jitter cannot masquerade as
-    // instrumentation cost.
-    let obs_row = run_obs_overhead(factor, 50);
+    // instrumentation cost. Writes that edit the tree in place made a
+    // round ~2× cheaper, so 100 rounds keep a quick pass near 40 ms.
+    let obs_row = run_obs_overhead(factor, 100);
     println!("\n## obs_overhead (mixed workload, tracing vs --no-trace)");
     println!(
         "{:<22} {:>10.1} req/s instrumented  {:>10.1} req/s no-trace  overhead={:.2}%",
@@ -344,7 +366,10 @@ fn main() {
     );
 
     // ---- durability overhead: WAL attached vs not, pure update loop ----
-    let wal_row = run_wal_overhead(factor, if quick { 8 } else { 24 });
+    // A write that edits its tree in place costs ~85 µs here, so a
+    // quick pass needs 32 rounds (~3 ms) for the min estimator to
+    // settle; at 8 rounds two passes of one server differ by up to 20%.
+    let wal_row = run_wal_overhead(factor, if quick { 32 } else { 96 });
     println!("\n## wal_overhead (update loop, length+CRC framed log appended before install)");
     println!(
         "{:<22} {:>10.1} req/s wal  {:>10.1} req/s no-wal  overhead={:.2}%",
@@ -366,6 +391,16 @@ fn main() {
         ivm_row.elements
     );
 
+    // ---- serialization: direct tree walk vs the reference serializer ----
+    // Always XMark 0.05 (~3.6 MB of output), even in quick mode, so
+    // per-call overheads cannot mask a per-byte regression.
+    let ser_row = run_serialize(0.05, if quick { 15 } else { 30 });
+    println!("\n## serialize (XMark 0.05 document: direct tree walk vs reference serializer)");
+    println!(
+        "{:>10.1} MB/s direct  {:>10.1} MB/s reference  ratio={:.3}  ({} bytes)",
+        ser_row.direct_mb_s, ser_row.reference_mb_s, ser_row.ratio, ser_row.bytes
+    );
+
     if let Some(path) = out_path {
         let json = render_json(
             factor,
@@ -380,6 +415,7 @@ fn main() {
             &obs_row,
             &wal_row,
             &ivm_row,
+            &ser_row,
         );
         std::fs::write(&path, json).expect("baseline file written");
         println!("\nbaseline recorded to {path}");
@@ -472,6 +508,14 @@ fn main() {
             );
             failed = true;
         }
+        if ser_row.ratio > SERIALIZE_MARGIN {
+            eprintln!(
+                "FAIL serialize: direct {:.1} MB/s is {:.3}× the reference serializer's time \
+                 ({:.1} MB/s), above the {SERIALIZE_MARGIN} margin",
+                ser_row.direct_mb_s, ser_row.ratio, ser_row.reference_mb_s
+            );
+            failed = true;
+        }
         if failed {
             std::process::exit(1);
         }
@@ -484,7 +528,8 @@ fn main() {
              under {ANALYSIS_MICROS_BUDGET}µs, \
              observability overhead within {OBS_OVERHEAD_MARGIN}%, \
              WAL overhead within {WAL_OVERHEAD_MARGIN}%, \
-             patched maintenance under {IVM_PATCH_MARGIN}× a full recompute"
+             patched maintenance under {IVM_PATCH_MARGIN}× a full recompute, \
+             direct serialization within {SERIALIZE_MARGIN}× the reference serializer"
         );
     }
 }
@@ -1012,6 +1057,134 @@ fn run_obs_overhead(factor: f64, rounds: usize) -> ObsRow {
     }
 }
 
+/// The `serialize` row's fixed reference serializer: an explicit frame
+/// stack with one child `Vec` per element, each tag or text run built
+/// in a scratch `String` with per-`char` escaping and copied into a
+/// `Vec<u8>` sink, then one UTF-8 validation. It has its own escaper,
+/// so the gate covers both the library's walk and its run-copy
+/// escapers: a regression in either moves only the direct side.
+fn serialize_reference(doc: &Document) -> String {
+    enum Frame {
+        Enter(NodeId),
+        Exit(NodeId),
+    }
+    let Some(root) = doc.root() else {
+        return String::new();
+    };
+    let (mut out, mut scratch, mut open_tag) = (Vec::new(), String::new(), false);
+    let mut stack = vec![Frame::Enter(root)];
+    while let Some(frame) = stack.pop() {
+        if open_tag {
+            open_tag = false;
+            if let Frame::Exit(_) = frame {
+                out.extend_from_slice(b"/>");
+                continue;
+            }
+            out.push(b'>');
+        }
+        scratch.clear();
+        match frame {
+            Frame::Enter(n) => match doc.kind(n) {
+                NodeKind::Text(t) => reference_escape(t, false, &mut scratch),
+                NodeKind::Element { name, attrs } => {
+                    scratch.push('<');
+                    scratch.push_str(name.as_str());
+                    for (k, v) in attrs {
+                        scratch.push(' ');
+                        scratch.push_str(k.as_str());
+                        scratch.push_str("=\"");
+                        reference_escape(v, true, &mut scratch);
+                        scratch.push('"');
+                    }
+                    open_tag = true;
+                    stack.push(Frame::Exit(n));
+                    let children: Vec<NodeId> = doc.children(n).collect();
+                    stack.extend(children.into_iter().rev().map(Frame::Enter));
+                }
+            },
+            Frame::Exit(n) => {
+                scratch.push_str("</");
+                scratch.push_str(doc.name(n).expect("exit frames are elements"));
+                scratch.push('>');
+            }
+        }
+        out.extend_from_slice(scratch.as_bytes());
+    }
+    String::from_utf8(out).expect("reference serializer produces UTF-8")
+}
+
+/// Per-`char` XML escaping for [`serialize_reference`]: every char is
+/// decoded and re-pushed. Same replacements as `xust_sax`'s escapers.
+fn reference_escape(s: &str, attr: bool, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '\r' => out.push_str("&#13;"),
+            '"' if attr => out.push_str("&quot;"),
+            '\'' if attr => out.push_str("&apos;"),
+            '\n' if attr => out.push_str("&#10;"),
+            '\t' if attr => out.push_str("&#9;"),
+            _ => out.push(c),
+        }
+    }
+}
+
+/// Times `Document::serialize` against [`serialize_reference`]
+/// on one XMark document. The outputs are asserted byte-identical
+/// first; timed runs then alternate which path goes first, and the
+/// fastest run per path is compared (noise only ever inflates a run).
+/// An apparent breach of [`SERIALIZE_MARGIN`] is re-measured once, as
+/// the overhead rows do: a real regression reproduces.
+fn run_serialize(factor: f64, reps: usize) -> SerializeRow {
+    let doc = xmark_doc(factor);
+    let direct = doc.serialize();
+    assert_eq!(
+        direct,
+        serialize_reference(&doc),
+        "direct serialization diverges from the reference serializer"
+    );
+    let bytes = direct.len();
+    drop(direct);
+    let time = |f: &dyn Fn() -> usize| {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        t.elapsed().as_secs_f64()
+    };
+    let direct_path = || doc.serialize().len();
+    let reference_path = || serialize_reference(&doc).len();
+    let measure = || {
+        let (mut best_direct, mut best_ref) = (f64::INFINITY, f64::INFINITY);
+        for i in 0..reps {
+            let (d, s) = if i % 2 == 0 {
+                let d = time(&direct_path);
+                (d, time(&reference_path))
+            } else {
+                let s = time(&reference_path);
+                (time(&direct_path), s)
+            };
+            best_direct = best_direct.min(d);
+            best_ref = best_ref.min(s);
+        }
+        (best_direct, best_ref)
+    };
+    let (mut best_direct, mut best_ref) = measure();
+    if best_direct / best_ref > SERIALIZE_MARGIN {
+        let (d, s) = measure();
+        if d / s < best_direct / best_ref {
+            (best_direct, best_ref) = (d, s);
+        }
+    }
+    let mb = bytes as f64 / 1e6;
+    SerializeRow {
+        bytes,
+        direct_mb_s: mb / best_direct,
+        reference_mb_s: mb / best_ref,
+        ratio: best_direct / best_ref,
+    }
+}
+
 /// Hand-rolled JSON (the workspace is offline — no serde).
 #[allow(clippy::too_many_arguments)]
 fn render_json(
@@ -1027,6 +1200,7 @@ fn render_json(
     obs: &ObsRow,
     wal: &WalRow,
     ivm: &IvmPatchRow,
+    ser: &SerializeRow,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1089,8 +1263,12 @@ fn render_json(
         wal.workload, wal.wal_rps, wal.no_wal_rps, wal.overhead_pct
     ));
     s.push_str(&format!(
-        "  \"ivm_patch\": {{\"elements\": {}, \"patch_micros_per_write\": {:.1}, \"recompute_micros_per_write\": {:.1}, \"ratio\": {:.4}}}\n",
+        "  \"ivm_patch\": {{\"elements\": {}, \"patch_micros_per_write\": {:.1}, \"recompute_micros_per_write\": {:.1}, \"ratio\": {:.4}}},\n",
         ivm.elements, ivm.patch_micros_per_write, ivm.recompute_micros_per_write, ivm.ratio
+    ));
+    s.push_str(&format!(
+        "  \"serialize\": {{\"bytes\": {}, \"direct_mb_s\": {:.1}, \"reference_mb_s\": {:.1}, \"ratio\": {:.3}}}\n",
+        ser.bytes, ser.direct_mb_s, ser.reference_mb_s, ser.ratio
     ));
     s.push_str("}\n");
     s

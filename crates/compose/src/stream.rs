@@ -33,7 +33,7 @@ use xust_core::{
     EventSink, LdStorage, PathPrepass, PathSelector, PreparedTransform, SaxStats,
     SaxTransformError, TransformQuery,
 };
-use xust_sax::{escape_attr, SaxEvent, SaxParser};
+use xust_sax::{escape_attr_into, SaxEvent, SaxParser};
 use xust_tree::{Document, NodeId};
 use xust_xquery::{Engine, Item};
 
@@ -102,7 +102,11 @@ pub fn compose_two_pass_sax<R1: Read, R2: Read, R3: Read, W: Write>(
         Some((name, attrs)) => {
             let mut open = format!("<{name}");
             for (k, v) in attrs {
-                open.push_str(&format!(" {k}=\"{}\"", escape_attr(v)));
+                open.push(' ');
+                open.push_str(k);
+                open.push_str("=\"");
+                escape_attr_into(v, &mut open);
+                open.push('"');
             }
             if body_out.is_empty() {
                 open.push_str("/>");

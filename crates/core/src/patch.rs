@@ -558,16 +558,17 @@ impl FragmentTree {
                 return;
             }
             out.push('>');
-            let children = self.frag(i).children.clone();
-            for c in children {
+            // Indexed: the recursion memoizes through `&mut self`.
+            for k in 0..self.frag(i).children.len() {
+                let c = self.frag(i).children[k];
                 self.write_frag(c, doc, out);
             }
             doc.write_end_tag_into(d, out);
         } else {
             if self.frag(i).bytes.is_none() {
                 let mut b = String::new();
-                for d in self.frag(i).dst.clone() {
-                    b.push_str(&doc.serialize_subtree(d));
+                for &d in &self.frag(i).dst {
+                    doc.serialize_subtree_into(d, &mut b);
                 }
                 self.frag_mut(i).bytes = Some(b);
             }

@@ -1,54 +1,82 @@
 //! Entity escaping and unescaping for XML character data.
+//!
+//! The escapers classify bytes with a 256-entry table and copy each run
+//! of ordinary bytes with one `push_str`. Every byte they replace is
+//! ASCII, and ASCII bytes never occur inside a multi-byte UTF-8
+//! sequence, so each run boundary is a char boundary and the slices are
+//! always valid `str`s.
 
-/// Escapes text content: `&`, `<`, `>` become entity references.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_text_into(s, &mut out);
-    out
+/// Byte classes: `0` copies verbatim, `TEXT` is replaced in text
+/// content, `ATTR` in attribute values (a superset of `TEXT`).
+const TEXT: u8 = 1;
+const ATTR: u8 = 2;
+
+static CLASS: [u8; 256] = {
+    let mut t = [0u8; 256];
+    t[b'&' as usize] = TEXT | ATTR;
+    t[b'<' as usize] = TEXT | ATTR;
+    t[b'>' as usize] = TEXT | ATTR;
+    // A literal CR would be folded to LF by the reader's §2.11
+    // normalization; the reference survives, keeping parse ∘ serialize
+    // an identity.
+    t[b'\r' as usize] = TEXT | ATTR;
+    // Literal quotes would end the value; literal whitespace would be
+    // normalized to spaces by the reader (§3.3.3).
+    t[b'"' as usize] = ATTR;
+    t[b'\'' as usize] = ATTR;
+    t[b'\n' as usize] = ATTR;
+    t[b'\t' as usize] = ATTR;
+    t
+};
+
+/// The entity or character reference replacing special byte `b`.
+fn reference(b: u8) -> &'static str {
+    match b {
+        b'&' => "&amp;",
+        b'<' => "&lt;",
+        b'>' => "&gt;",
+        b'"' => "&quot;",
+        b'\'' => "&apos;",
+        b'\r' => "&#13;",
+        b'\n' => "&#10;",
+        b'\t' => "&#9;",
+        _ => unreachable!("only classed bytes are replaced"),
+    }
 }
 
-/// Escapes text content, appending to an existing buffer (avoids an
-/// allocation per call on hot serialization paths).
+/// Appends `s` to `out`, replacing every byte whose class includes
+/// `class` by its reference.
+#[inline]
+fn escape_into(s: &str, out: &mut String, class: u8) {
+    let bytes = s.as_bytes();
+    // Most values need no escaping: a branch-free pass over the table
+    // settles that, and the whole value is then one run.
+    if bytes.iter().fold(0, |m, &b| m | CLASS[b as usize]) & class == 0 {
+        out.push_str(s);
+        return;
+    }
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if CLASS[b as usize] & class != 0 {
+            // `run..i` ends before an ASCII byte: a char boundary.
+            out.push_str(&s[run..i]);
+            out.push_str(reference(b));
+            run = i + 1;
+        }
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Escapes text content onto `out`: `&`, `<`, `>` and CR become
+/// references.
 pub fn escape_text_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            // A literal CR would be folded to LF by the reader's §2.11
-            // normalization; the reference survives, keeping
-            // parse ∘ serialize an identity.
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, out, TEXT);
 }
 
-/// Escapes an attribute value (double-quote delimited).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_attr_into(s, &mut out);
-    out
-}
-
-/// Escapes an attribute value, appending to an existing buffer.
+/// Escapes a (double-quote delimited) attribute value onto `out`: the
+/// text escapes plus both quotes, LF and TAB.
 pub fn escape_attr_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            // Literal whitespace would be normalized to spaces by the
-            // reader (§3.3.3); character references survive, keeping
-            // parse ∘ serialize an identity.
-            '\r' => out.push_str("&#13;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, out, ATTR);
 }
 
 /// Resolves the five predefined entities and numeric character references.
@@ -116,18 +144,35 @@ fn resolve_entity(entity: &str) -> Option<char> {
 mod tests {
     use super::*;
 
+    fn text(s: &str) -> String {
+        let mut out = String::new();
+        escape_text_into(s, &mut out);
+        out
+    }
+
+    fn attr(s: &str) -> String {
+        let mut out = String::new();
+        escape_attr_into(s, &mut out);
+        out
+    }
+
     #[test]
     fn escape_text_basic() {
-        assert_eq!(escape_text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
-        assert_eq!(escape_text("plain"), "plain");
+        assert_eq!(text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
+        assert_eq!(text("plain"), "plain");
+        assert_eq!(text("q\"'\n\t\r"), "q\"'\n\t&#13;");
+        assert_eq!(text("é<ü&€"), "é&lt;ü&amp;€");
+        assert_eq!(text("<&>"), "&lt;&amp;&gt;");
+        let mut out = String::from("kept:");
+        escape_text_into("<", &mut out);
+        assert_eq!(out, "kept:&lt;");
     }
 
     #[test]
     fn escape_attr_quotes() {
-        assert_eq!(
-            escape_attr(r#"he said "hi"'s"#),
-            "he said &quot;hi&quot;&apos;s"
-        );
+        assert_eq!(attr(r#"he said "hi"'s"#), "he said &quot;hi&quot;&apos;s");
+        assert_eq!(attr("a\r\n\tb"), "a&#13;&#10;&#9;b");
+        assert_eq!(attr("😀>\"'😀"), "😀&gt;&quot;&apos;😀");
     }
 
     #[test]
@@ -159,7 +204,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let original = "x < y && z > \"w\" 'v'";
-        assert_eq!(unescape(&escape_attr(original)), original);
-        assert_eq!(unescape(&escape_text(original)), original);
+        assert_eq!(unescape(&attr(original)), original);
+        assert_eq!(unescape(&text(original)), original);
     }
 }

@@ -36,7 +36,7 @@ mod parser;
 mod writer;
 
 pub use error::{SaxError, SaxResult};
-pub use escape::{escape_attr, escape_attr_into, escape_text, escape_text_into, unescape};
+pub use escape::{escape_attr_into, escape_text_into, unescape};
 pub use event::SaxEvent;
 pub use parser::{SaxParser, DEFAULT_DEPTH_LIMIT};
 pub use writer::{events_to_string, SaxWriter, NO_ATTRS};

@@ -107,7 +107,7 @@ pub use stats::{
     ServeStats, StatsSnapshot, Verb, REGISTRY,
 };
 pub use store::{DocStore, StoreSnapshot, StoreUpdateError, VersionedDoc, WriteStamp};
-pub use viewcache::{MaintainOutcome, ViewResultCache};
+pub use viewcache::{CacheHit, MaintainOutcome, ViewResultCache};
 pub use wal::{Wal, WalRecord, WalReplay};
 
 // Re-exported so callers can speak the planner's vocabulary without

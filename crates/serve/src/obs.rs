@@ -34,7 +34,8 @@ named_enum! {
         Snapshot => "snapshot",
         /// Write-ahead-log append (write path, WAL attached).
         Wal => "wal",
-        /// Copy of the current tree a write applies to (write path).
+        /// Copy-on-write of the tree a write applies to (write path):
+        /// a whole-tree copy only while a snapshot still reads it.
         Clone => "clone",
         /// Query/transform evaluation.
         Eval => "eval",
@@ -42,7 +43,8 @@ named_enum! {
         Maintain => "maintain",
         /// In-place fragment patching of cached results (write path).
         Patch => "patch",
-        /// Result serialization + cache install.
+        /// Result serialization + cache install, and re-serialization of
+        /// a maintained result-cache entry on its first hit.
         Serialize => "serialize",
     }
 }
@@ -185,6 +187,25 @@ impl Trace {
     pub fn phase(&mut self, phase: Phase, started: Option<Instant>) {
         if let (Some(buf), Some(t)) = (self.buf.as_deref_mut(), started) {
             buf.push_phase(phase, t.elapsed().as_micros() as u64);
+        }
+    }
+
+    /// Ends a phase started by [`Trace::start`] that contained a
+    /// separately timed section of `inner` µs (if it ran): that time
+    /// goes to `inner_phase`, the remainder to `phase`.
+    pub fn phase_split(
+        &mut self,
+        phase: Phase,
+        started: Option<Instant>,
+        inner_phase: Phase,
+        inner: Option<u64>,
+    ) {
+        if let (Some(buf), Some(t)) = (self.buf.as_deref_mut(), started) {
+            let total = t.elapsed().as_micros() as u64;
+            buf.push_phase(phase, total.saturating_sub(inner.unwrap_or(0)));
+            if let Some(us) = inner {
+                buf.push_phase(inner_phase, us);
+            }
         }
     }
 

@@ -1046,14 +1046,14 @@ impl Server {
             .inner
             .docs
             .update(doc, |stamp: WriteStamp, source| {
-                let DocSource::Memory(old) = source else {
+                let DocSource::Memory(tree) = source else {
                     return Err(ServeError::Unsupported(format!(
                         "UPDATE needs an in-memory document; '{doc}' is file-backed \
                          (load it in memory to enable live updates)"
                     )));
                 };
                 // Durability first: the record goes to the log before
-                // anything — tree clone, cache maintenance — mutates
+                // anything — tree edit, cache maintenance — mutates
                 // shared state, so a failed append leaves the write
                 // fully un-happened (all-or-nothing), and log order
                 // equals install order because both sit under this
@@ -1068,8 +1068,11 @@ impl Server {
                     .map_err(|e| ServeError::Io(format!("wal append: {e}")))?;
                     rt.phase(Phase::Wal, t);
                 }
+                // Copy-on-write: the tree is edited in place unless a
+                // snapshot still reads it, so an uncontended write
+                // neither copies nor frees the whole document.
                 let t = rt.start();
-                let mut next = (**old).clone();
+                let next = Arc::make_mut(tree);
                 rt.phase(Phase::Clone, t);
                 let mut delta = LabelSet::new();
                 let mut targets_total = 0usize;
@@ -1094,12 +1097,12 @@ impl Server {
                 let mut label_shift: HashMap<Sym, i64> = HashMap::new();
                 let t = rt.start();
                 for (path, op) in &ops {
-                    let matched = eval_path_root(&next, path);
+                    let matched = eval_path_root(next, path);
                     targets_total += matched.len();
-                    touched_labels_into(&next, &matched, op, &mut delta);
+                    touched_labels_into(next, &matched, op, &mut delta);
                     if patching {
                         for &m in &matched {
-                            let chain = site_chain(&next, update_site(&next, m, op));
+                            let chain = site_chain(next, update_site(next, m, op));
                             for &n in &chain {
                                 if let Some(l) = next.name(n) {
                                     guard.insert(intern(l));
@@ -1109,11 +1112,11 @@ impl Server {
                         }
                     }
                     if let UpdateOp::Rename { name } = op {
-                        renames.extend(RenameMapping::capture(&next, &matched, *name));
+                        renames.extend(RenameMapping::capture(next, &matched, *name));
                         guard.insert(*name);
                     }
-                    shift_update_labels(&next, &matched, op, &mut label_shift);
-                    apply_update(&mut next, &matched, op);
+                    shift_update_labels(next, &matched, op, &mut label_shift);
+                    apply_update(next, &matched, op);
                 }
                 rt.phase(Phase::Eval, t);
                 // Maintenance runs while the shard write lock is held,
@@ -1124,7 +1127,7 @@ impl Server {
                 // store shard or not, proceed untouched.
                 let t = rt.start();
                 let ctx = PatchCtx {
-                    base: &next,
+                    base: next,
                     sites: &sites,
                     guard: &guard,
                     views: &patch_views,
@@ -1182,9 +1185,8 @@ impl Server {
                 if !label_shift.is_empty() {
                     stats.shift_doc_labels(doc, &label_shift);
                 }
-                let next = Arc::new(next);
-                new_tree = Some(Arc::clone(&next));
-                Ok((DocSource::Memory(next), (outcome, targets_total)))
+                new_tree = Some(Arc::clone(tree));
+                Ok((outcome, targets_total))
             })
             .map_err(|e| match e {
                 StoreUpdateError::NotFound => ServeError::UnknownDoc(doc.to_string()),
@@ -1430,16 +1432,17 @@ impl Server {
                 .inner
                 .results
                 .get(&def.cache_key, doc, version, def.cache_generation);
-            rt.phase(Phase::Cache, t);
+            let serialized = found.as_ref().and_then(|h| h.serialize_micros);
+            rt.phase_split(Phase::Cache, t, Phase::Serialize, serialized);
             rt.note_result(found.is_some());
-            if let Some(body) = found {
+            if let Some(hit) = found {
                 let micros = started.elapsed().as_micros() as u64;
                 stats.record_request(Verb::View, Some(&view), true, micros);
                 self.inner.obs.finish(rt, micros, true);
                 out.push((
                     idx,
                     Ok(Response {
-                        body: body.to_string(),
+                        body: hit.body.to_string(),
                         method: None,
                         micros,
                         cache_hit: true,
@@ -1929,14 +1932,17 @@ impl Server {
                 .inner
                 .results
                 .get(&def.cache_key, doc, version, def.cache_generation);
-            rt.phase(Phase::Cache, t);
+            // A hit that re-serializes a maintained entry charges that
+            // time to Serialize; the lookup itself stays Cache.
+            let serialized = found.as_ref().and_then(|h| h.serialize_micros);
+            rt.phase_split(Phase::Cache, t, Phase::Serialize, serialized);
             rt.note_result(found.is_some());
-            if let Some(body) = found {
+            if let Some(hit) = found {
                 return Ok(Response {
                     // The owned copy the response needs is made here,
                     // outside the cache mutex — a hit only bumps a
                     // refcount inside it.
-                    body: body.to_string(),
+                    body: hit.body.to_string(),
                     method: None, // no evaluation ran at all
                     micros: 0,
                     cache_hit: true,

@@ -11,16 +11,18 @@
 //!   under a briefly-held read lock — and then resolve documents with no
 //!   locking at all. A snapshot is a consistent view: it never observes
 //!   a later write, however long the request runs.
-//! * **Writers** never mutate an installed epoch. They clone the shard's
-//!   map (cheap: values are `Arc`s or paths), apply the change, bump the
-//!   epoch counter, and swap the new `Arc` in under a briefly-held write
-//!   lock. In-flight readers keep their old epoch alive through their
+//! * **Writers** never mutate an epoch a snapshot holds. Under the
+//!   shard's write lock they clone the shard's map (cheap: values are
+//!   `Arc`s or paths), apply the change, bump the epoch counter, and
+//!   swap the new `Arc` in. [`DocStore::update`] skips the copies when
+//!   nothing else holds the epoch or the document and edits them in
+//!   place. In-flight readers keep their old epoch alive through their
 //!   snapshot `Arc`s; memory is reclaimed when the last snapshot drops.
 //!
 //! ## The epoch invariant
 //!
 //! For every shard: epochs strictly increase with each write; an epoch's
-//! contents never change after installation; and a snapshot holding
+//! contents never change while a snapshot holds it; and a snapshot holding
 //! epoch *e* of a shard sees exactly the writes ordered before *e* and
 //! none after. Outstanding snapshots are counted
 //! ([`DocStore::active_snapshots`]) so tests can prove that failed or
@@ -64,8 +66,9 @@ pub struct VersionedDoc {
     pub version: u64,
 }
 
-/// One shard's immutable epoch: a version counter plus the name →
-/// versioned-source map as of that version.
+/// One shard's epoch: a version counter plus the name → versioned-source
+/// map as of that version. Immutable once a snapshot holds it.
+#[derive(Clone)]
 struct ShardEpoch {
     epoch: u64,
     docs: HashMap<String, VersionedDoc>,
@@ -186,11 +189,18 @@ impl DocStore {
     /// the same shard can never lose each other's work. `apply` receives
     /// the [`WriteStamp`] the write *will* install — the new epoch, the
     /// document's new version, and the version being replaced — plus the
-    /// current source, and returns the replacement source (plus any
-    /// caller payload, e.g. cache-maintenance bookkeeping that must be
-    /// ordered with the install). On `Err` nothing is installed: the
-    /// shard keeps its epoch and contents — the write path's
-    /// all-or-nothing guarantee.
+    /// source to edit, and returns any caller payload (e.g.
+    /// cache-maintenance bookkeeping that must be ordered with the
+    /// install). On `Err` nothing is installed: the shard keeps its epoch
+    /// and contents — the write path's all-or-nothing guarantee, which
+    /// holds as long as `apply` fails before it edits the source.
+    ///
+    /// The edit is copy-on-write at both levels. The shard's epoch is
+    /// edited in place when no snapshot holds it, else its map (of
+    /// `Arc`s) is copied first; the same goes for the document when
+    /// `apply` edits a tree through [`Arc::make_mut`]. An uncontended
+    /// write therefore neither copies nor frees the document, and a
+    /// snapshot still never observes a later write.
     ///
     /// The shard's readers block for the duration of `apply`; snapshots
     /// and other shards are unaffected. Keep `apply` proportional to the
@@ -198,32 +208,26 @@ impl DocStore {
     pub fn update<T, E>(
         &self,
         name: &str,
-        apply: impl FnOnce(WriteStamp, &DocSource) -> Result<(DocSource, T), E>,
+        apply: impl FnOnce(WriteStamp, &mut DocSource) -> Result<T, E>,
     ) -> Result<(WriteStamp, T), StoreUpdateError<E>> {
         let shard = &self.shards[self.shard_of(name)];
         let mut current = shard.current.write().expect("doc store lock poisoned");
-        let existing = current
+        let prev_version = current
             .docs
             .get(name)
             .ok_or(StoreUpdateError::NotFound)?
-            .clone();
+            .version;
         let epoch = current.epoch + 1;
         let stamp = WriteStamp {
             epoch,
             version: epoch,
-            prev_version: existing.version,
+            prev_version,
         };
-        let (replacement, payload) =
-            apply(stamp, &existing.source).map_err(StoreUpdateError::Apply)?;
-        let mut docs = current.docs.clone();
-        docs.insert(
-            name.to_string(),
-            VersionedDoc {
-                source: replacement,
-                version: epoch,
-            },
-        );
-        *current = Arc::new(ShardEpoch { epoch, docs });
+        let next = Arc::make_mut(&mut current);
+        let entry = next.docs.get_mut(name).expect("checked above");
+        let payload = apply(stamp, &mut entry.source).map_err(StoreUpdateError::Apply)?;
+        entry.version = epoch;
+        next.epoch = epoch;
         Ok((stamp, payload))
     }
 
@@ -596,11 +600,11 @@ mod tests {
                                 let DocSource::Memory(d) = source else {
                                     unreachable!()
                                 };
-                                let mut next = (**d).clone();
+                                let next = Arc::make_mut(d);
                                 let root = next.root().unwrap();
                                 let child = next.create_element("tick");
                                 next.append_child(root, child);
-                                Ok::<_, ()>((DocSource::Memory(Arc::new(next)), ()))
+                                Ok::<_, ()>(())
                             })
                             .unwrap();
                     }
@@ -626,9 +630,12 @@ mod tests {
         store.insert("a", mem("<a/>"));
         let before = store.epochs();
         let version_before = store.version_of("a");
-        let err = store.update("a", |_, _| Err::<(DocSource, ()), _>("boom"));
+        let err = store.update("a", |_, _| Err::<(), _>("boom"));
         assert_eq!(err.unwrap_err(), StoreUpdateError::Apply("boom"));
-        let missing = store.update("nope", |_, _| Ok::<_, ()>((mem("<x/>"), ())));
+        let missing = store.update("nope", |_, source| {
+            *source = mem("<x/>");
+            Ok::<_, ()>(())
+        });
         assert!(matches!(missing.unwrap_err(), StoreUpdateError::NotFound));
         assert_eq!(store.epochs(), before, "failed writes must not bump epochs");
         assert_eq!(store.version_of("a"), version_before);
@@ -644,8 +651,9 @@ mod tests {
         store.insert("a", mem("<a/>"));
         let snap_before = store.snapshot();
         let (stamp, payload) = store
-            .update("a", |stamp, _| {
-                Ok::<_, ()>((mem("<a2/>"), format!("installing {}", stamp.version)))
+            .update("a", |stamp, source| {
+                *source = mem("<a2/>");
+                Ok::<_, ()>(format!("installing {}", stamp.version))
             })
             .unwrap();
         assert_eq!(
@@ -666,6 +674,47 @@ mod tests {
             Some(DocSource::Memory(d)) => assert_eq!(d.serialize(), "<a/>"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn update_edits_in_place_unless_a_snapshot_holds_the_tree() {
+        let store = DocStore::new(1);
+        store.insert("a", mem("<a/>"));
+        let tree_ptr = |store: &DocStore| match store.get("a") {
+            Some(DocSource::Memory(d)) => Arc::as_ptr(&d),
+            other => panic!("unexpected {other:?}"),
+        };
+        let append = |store: &DocStore, label: &str| {
+            store
+                .update("a", |_, source| {
+                    let DocSource::Memory(d) = source else {
+                        unreachable!()
+                    };
+                    let d = Arc::make_mut(d);
+                    let child = d.create_element(label);
+                    d.append_child(d.root().unwrap(), child);
+                    Ok::<_, ()>(())
+                })
+                .unwrap()
+        };
+        // Nothing else holds the tree: the write edits it in place.
+        let before = tree_ptr(&store);
+        append(&store, "b");
+        assert_eq!(tree_ptr(&store), before);
+        // A snapshot pins the tree: the write copies, the snapshot
+        // keeps reading the old content.
+        let snap = store.snapshot();
+        append(&store, "c");
+        match snap.get("a") {
+            Some(DocSource::Memory(d)) => assert_eq!(d.serialize(), "<a><b/></a>"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_ne!(tree_ptr(&store), before);
+        match store.get("a") {
+            Some(DocSource::Memory(d)) => assert_eq!(d.serialize(), "<a><b/><c/></a>"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(store.version_of("a"), Some(3));
     }
 
     #[test]

@@ -86,6 +86,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering}; // lint: atomic-ok (hit/miss/size counters only)
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 use xust_core::delta::{RenameMapping, TouchedLabels};
 use xust_core::{Collapse, CompiledTransform, FragmentTree, LabelSet, Localized, PatchOutcome};
@@ -218,6 +219,17 @@ pub struct MaintainOutcome {
     pub recomputed: Vec<String>,
 }
 
+/// A result-cache hit ([`ViewResultCache::get`]).
+#[derive(Debug, Clone)]
+pub struct CacheHit {
+    /// The serialized view result.
+    pub body: Arc<str>,
+    /// How long this lookup spent re-serializing a result whose bytes
+    /// a maintained write had invalidated; `None` when the bytes were
+    /// already cached.
+    pub serialize_micros: Option<u64>,
+}
+
 /// See the module docs.
 pub struct ViewResultCache {
     capacity: usize,
@@ -301,8 +313,9 @@ impl ViewResultCache {
     /// version `version`, under exactly view-definition `generation`,
     /// if any. A counted miss means the caller is about to materialize.
     /// The first hit after a maintenance edit pays the
-    /// (re-)serialization here — outside the store's shard lock.
-    pub fn get(&self, view: &str, doc: &str, version: u64, generation: u64) -> Option<Arc<str>> {
+    /// (re-)serialization here — outside the store's shard lock — and
+    /// reports its duration in [`CacheHit::serialize_micros`].
+    pub fn get(&self, view: &str, doc: &str, version: u64, generation: u64) -> Option<CacheHit> {
         if self.capacity == 0 {
             return None;
         }
@@ -311,17 +324,23 @@ impl ViewResultCache {
             match state.views.get_mut(view) {
                 Some(e) if e.version == version && e.generation == generation => {
                     e.last_use = self.next_tick();
+                    let mut serialize_micros = None;
                     if e.body.is_none() {
+                        let t = Instant::now();
                         // Re-serialize through the provenance map when
                         // one is live: fragments untouched since the
                         // last serialization reuse their memoized bytes.
                         let s = match e.frags.as_mut() {
-                            Some(t) => t.assemble(&e.doc),
+                            Some(f) => f.assemble(&e.doc),
                             None => e.doc.serialize(),
                         };
                         e.body = Some(s.into());
+                        serialize_micros = Some(t.elapsed().as_micros() as u64);
                     }
-                    Some(Arc::clone(e.body.as_ref().expect("just materialized")))
+                    Some(CacheHit {
+                        body: Arc::clone(e.body.as_ref().expect("just materialized")),
+                        serialize_micros,
+                    })
                 }
                 _ => None,
             }
@@ -777,10 +796,16 @@ mod tests {
     fn hits_are_version_exact() {
         let c = ViewResultCache::new(8);
         entry(&c, "v", "d", 3, &["x"]);
-        assert_eq!(c.get("v", "d", 3, 1).as_deref(), Some("<r><keep/></r>"));
-        assert_eq!(c.get("v", "d", 4, 1), None, "later version is a miss");
-        assert_eq!(c.get("v", "d", 2, 1), None, "earlier version is a miss");
-        assert_eq!(c.get("v", "d", 3, 2), None, "other generation is a miss");
+        assert_eq!(
+            c.get("v", "d", 3, 1).map(|h| h.body).as_deref(),
+            Some("<r><keep/></r>")
+        );
+        assert!(c.get("v", "d", 4, 1).is_none(), "later version is a miss");
+        assert!(c.get("v", "d", 2, 1).is_none(), "earlier version is a miss");
+        assert!(
+            c.get("v", "d", 3, 2).is_none(),
+            "other generation is a miss"
+        );
         assert_eq!((c.hits(), c.misses()), (1, 3));
     }
 
@@ -813,12 +838,13 @@ mod tests {
         assert_eq!(out.recomputed, vec!["overlap".to_string()]);
         assert_eq!(applied, 1, "delta applied only to the retained entry");
         // The retained entry serves the *maintained* body at the new
-        // version.
-        assert_eq!(
-            c.get("disjoint", "d", 2, 1).as_deref(),
-            Some("<r><keep/><new/></r>")
-        );
-        assert_eq!(c.get("overlap", "d", 2, 1), None);
+        // version, re-serialized (and timed) by the first hit only.
+        let hit = c.get("disjoint", "d", 2, 1).expect("retained entry hits");
+        assert_eq!(&*hit.body, "<r><keep/><new/></r>");
+        assert!(hit.serialize_micros.is_some());
+        let again = c.get("disjoint", "d", 2, 1).expect("still resident");
+        assert!(again.serialize_micros.is_none(), "bytes were cached");
+        assert!(c.get("overlap", "d", 2, 1).is_none());
         // The other document's entry was never examined and still hits
         // at its own (unmoved) version.
         assert!(c.get("elsewhere", "other", 1, 1).is_some());
@@ -1243,7 +1269,10 @@ mod tests {
         assert!(out.retained.is_empty() && out.recomputed.is_empty());
         assert!(out.patched_fragments >= 1);
         let expect = top_down(&base, ct.query()).serialize();
-        assert_eq!(c.get("v", "d", 2, 1).as_deref(), Some(expect.as_str()));
+        assert_eq!(
+            c.get("v", "d", 2, 1).map(|h| h.body).as_deref(),
+            Some(expect.as_str())
+        );
     }
 
     #[test]
@@ -1297,7 +1326,10 @@ mod tests {
             TouchedLabels::new(),
             None,
         );
-        assert_eq!(c.get("v", "d", 5, 1).as_deref(), Some("<r><keep/></r>"));
+        assert_eq!(
+            c.get("v", "d", 5, 1).map(|h| h.body).as_deref(),
+            Some("<r><keep/></r>")
+        );
         assert!(c.get("v", "d", 3, 1).is_none());
     }
 

@@ -1,6 +1,4 @@
-use std::io::Write;
-
-use xust_sax::{escape_attr_into, SaxResult, SaxWriter};
+use xust_sax::{escape_attr_into, escape_text_into};
 
 use crate::document::Document;
 use crate::node::{NodeId, NodeKind};
@@ -8,59 +6,65 @@ use crate::node::{NodeId, NodeKind};
 impl Document {
     /// Serializes the whole document to a string.
     pub fn serialize(&self) -> String {
-        match self.root() {
-            Some(r) => self.serialize_subtree(r),
-            None => String::new(),
+        let mut out = String::new();
+        if let Some(r) = self.root() {
+            self.serialize_subtree_into(r, &mut out);
         }
+        out
     }
 
     /// Serializes the subtree rooted at `node` to a string.
     pub fn serialize_subtree(&self, node: NodeId) -> String {
-        let mut buf = Vec::new();
-        self.write_subtree(node, &mut buf)
-            .expect("writing to Vec cannot fail");
-        String::from_utf8(buf).expect("serializer produces UTF-8")
+        let mut out = String::new();
+        self.serialize_subtree_into(node, &mut out);
+        out
     }
 
-    /// Streams the subtree rooted at `node` to any [`Write`] sink using an
-    /// iterative traversal (no recursion, bounded memory).
-    pub fn write_subtree<W: Write>(&self, node: NodeId, out: W) -> SaxResult<()> {
-        let mut w = SaxWriter::new(out);
-        // Explicit stack of (node, entered) frames: `entered == true`
-        // means children already emitted and the end tag is due.
-        enum Frame {
-            Enter(NodeId),
-            Exit(NodeId),
-        }
-        let mut stack = vec![Frame::Enter(node)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(n) => match self.kind(n) {
-                    NodeKind::Text(t) => w.text(t)?,
-                    NodeKind::Element { name, attrs } => {
-                        w.start_element(name.as_str(), attrs)?;
-                        stack.push(Frame::Exit(n));
-                        let children: Vec<NodeId> = self.children(n).collect();
-                        for &c in children.iter().rev() {
-                            stack.push(Frame::Enter(c));
-                        }
+    /// Appends the serialization of the subtree rooted at `node` to
+    /// `out`, byte-identical to the subtree's events pushed through
+    /// [`xust_sax::SaxWriter`] (childless elements collapse to `/>`).
+    ///
+    /// The walk follows the sibling links directly: down through
+    /// `first_child`, across through `next_sibling`, and back up
+    /// through `parent` closing each finished element, so it needs no
+    /// stack and serializes arbitrarily deep trees.
+    pub fn serialize_subtree_into(&self, node: NodeId, out: &mut String) {
+        let mut cur = node;
+        loop {
+            match self.kind(cur) {
+                NodeKind::Text(t) => escape_text_into(t, out),
+                NodeKind::Element { .. } => {
+                    self.write_start_tag_into(cur, out);
+                    if let Some(c) = self.first_child(cur) {
+                        out.push('>');
+                        cur = c;
+                        continue;
                     }
-                },
-                Frame::Exit(n) => {
-                    let name = self.name(n).expect("exit frames are elements");
-                    w.end_element(name)?;
+                    out.push_str("/>");
                 }
             }
+            // `cur` is complete: move to the next sibling, closing
+            // every ancestor that has none, up to `node` itself.
+            loop {
+                if cur == node {
+                    return;
+                }
+                if let Some(s) = self.next_sibling(cur) {
+                    cur = s;
+                    break;
+                }
+                cur = self.parent(cur).expect("a node below `node` has a parent");
+                self.write_end_tag_into(cur, out);
+            }
         }
-        w.finish()?;
-        Ok(())
     }
 
     /// Appends `node`'s open start tag — `<name` plus attributes, **no
-    /// closing `>`** — to `out`, byte-identical to what [`SaxWriter`]
-    /// emits. Fragment sinks (`xust-core`'s patch assembly) use this to
-    /// frame live element tags around memoized child bytes; the
-    /// caller decides between `>` and `/>`. No-op on text nodes.
+    /// closing `>`** — to `out`, byte-identical to what
+    /// [`xust_sax::SaxWriter`] emits. The subtree walk above and
+    /// fragment sinks (`xust-core`'s patch assembly, which frames live
+    /// element tags around memoized child bytes) share it; the caller
+    /// decides between `>` and `/>`. No-op on text nodes.
     pub fn write_start_tag_into(&self, node: NodeId, out: &mut String) {
         let NodeKind::Element { name, attrs } = self.kind(node) else {
             return;

@@ -124,11 +124,14 @@ impl Engine {
         for item in v {
             match item {
                 Item::DocNode(d) => {
-                    out.push_str(&self.store.doc(*d).serialize());
+                    let doc = self.store.doc(*d);
+                    if let Some(root) = doc.root() {
+                        doc.serialize_subtree_into(root, &mut out);
+                    }
                     last_atomic = false;
                 }
                 Item::Node(d, n) => {
-                    out.push_str(&self.store.doc(*d).serialize_subtree(*n));
+                    self.store.doc(*d).serialize_subtree_into(*n, &mut out);
                     last_atomic = false;
                 }
                 Item::Attr(d, n, i) => {

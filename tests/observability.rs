@@ -1,8 +1,9 @@
 //! End-to-end observability: the METRICS exposition parses line by
 //! line, STATS, `--stats-json` and METRICS agree on every registry row,
 //! histograms stay conserved under concurrency, TRACE captures a slow
-//! request's phase breakdown (the write floor included), and EXPLAIN
-//! predicts the method the planner then actually picks.
+//! request's phase breakdown (the write floor and a cache hit's
+//! re-serialization included), and EXPLAIN predicts the method the
+//! planner then actually picks.
 
 use std::collections::HashMap;
 
@@ -663,4 +664,55 @@ fn update_trace_attributes_wal_append_and_tree_clone() {
             update.phases()
         );
     }
+}
+
+#[test]
+fn view_hit_after_a_retained_write_traces_its_reserialization() {
+    let server = Server::builder().threads(1).build();
+    server.load_doc_str("db", &big_doc(200)).unwrap();
+    server.register_view("public", view_query()).unwrap();
+    let read = || {
+        server
+            .handle(&Request::View {
+                view: "public".into(),
+                doc: "db".into(),
+            })
+            .unwrap()
+    };
+    read();
+    // The inserted label is disjoint from the view's `price`, so the
+    // write keeps the entry and defers its serialization to a hit.
+    server
+        .handle(&Request::Update {
+            doc: "db".into(),
+            update: r#"transform copy $a := doc("db") modify do insert <x/> into $a/db return $a"#
+                .into(),
+        })
+        .unwrap();
+    assert_eq!(
+        server.stats().delta_retained,
+        1,
+        "the write retained the entry"
+    );
+    let hits = server.view_results().hits();
+    let first = read();
+    let second = read();
+    assert_eq!(server.view_results().hits(), hits + 2, "both reads hit");
+    assert_eq!(first.body, second.body);
+    assert!(first.body.contains("<x/>"));
+
+    let traces = server.obs().recent_traces(2);
+    let phases =
+        |t: &xust::serve::RequestTrace| t.phases().iter().map(|&(p, _)| p).collect::<Vec<_>>();
+    let (second, first) = (phases(&traces[0]), phases(&traces[1]));
+    assert!(first.contains(&Phase::Cache), "{first:?}");
+    assert!(
+        first.contains(&Phase::Serialize),
+        "the first hit re-serialized the maintained entry: {first:?}"
+    );
+    assert!(second.contains(&Phase::Cache), "{second:?}");
+    assert!(
+        !second.contains(&Phase::Serialize),
+        "the second hit shipped cached bytes: {second:?}"
+    );
 }

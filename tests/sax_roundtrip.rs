@@ -11,7 +11,7 @@ const LABELS: [&str; 4] = ["a", "b", "long-name.x", "_u"];
 // tab content, which the writer must protect with character references
 // so the reader's XML 1.0 §2.11/§3.3.3 normalization cannot corrupt a
 // round-trip.
-const TEXTS: [&str; 8] = [
+const TEXTS: [&str; 14] = [
     "plain",
     "a<b",
     "x&y",
@@ -20,6 +20,16 @@ const TEXTS: [&str; 8] = [
     "2>1",
     "l1\r\nl2\rl3",
     "tab\there\nand newline",
+    // Multi-byte UTF-8 right next to every escapable byte.
+    "é<ü&€",
+    "😀>\"'😀",
+    // Nothing but escapes.
+    "<&>",
+    // Escapes on the first and the last byte.
+    "&edges<",
+    "\"ends'",
+    // CR, LF and TAB together (each a reference inside attributes).
+    "cr\rlf\ntab\tend",
 ];
 
 fn arb_tree(depth: u32) -> impl Strategy<Value = ElementBuilder> {
